@@ -19,6 +19,20 @@ def slow_square(value, delay):
     return value * value
 
 
+def slow_square_marked(value, delay, started_path):
+    """Like :func:`slow_square`, announcing that a worker holds the shard.
+
+    The executing worker writes its pid to ``started_path`` before the
+    delay, so a test can wait on "the shard is in flight on a worker"
+    — only an assigned shard executes — instead of guessing with a
+    sleep how long the worker takes to start and be assigned.
+    """
+    with open(started_path, "w", encoding="utf-8") as handle:
+        handle.write(str(os.getpid()))
+    time.sleep(delay)
+    return value * value
+
+
 def tag_worker_pid(value):
     """Returns (value, executing pid) — for fleet-reuse checks."""
     return value, os.getpid()

@@ -27,6 +27,7 @@ import remote_cells
 from repro.engine.backends import (
     ProcessBackend,
     RemoteCoordinator,
+    RemoteRunError,
     SerialBackend,
     ThreadBackend,
     shutdown_remote_backends,
@@ -71,6 +72,15 @@ def worker_pythonpath(monkeypatch):
     existing = os.environ.get("PYTHONPATH")
     merged = HERE if not existing else HERE + os.pathsep + existing
     monkeypatch.setenv("PYTHONPATH", merged)
+
+
+def _wait_until(predicate, timeout=30.0, interval=0.02):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return False
 
 
 class TestTaskFuture:
@@ -301,14 +311,23 @@ class TestCoordinatorSession:
 
 
 class TestAckThenClose:
-    def test_close_drains_in_flight_result(self):
+    def test_close_drains_in_flight_result(self, tmp_path):
         """Shutdown during a slow shard keeps, not drops, its result.
 
         Regression for the ack-then-close protocol: the worker holds
         its next ``ready`` until the coordinator acks the previous
         result, so a drain-close observes the recorded result instead
         of racing the socket teardown.
+
+        ``close(drain=True)`` drains only shards a worker already
+        holds; a shard still queued at close is failed recoverably by
+        design (:meth:`test_close_fails_queued_job_recoverably`).  So
+        the test closes only once the cell's marker file exists: only
+        an executing worker writes it, which implies the coordinator
+        assigned the shard.  A fixed sleep cannot promise that — a
+        spawned worker's start-up alone can outlast it.
         """
+        started = tmp_path / "started"
         outcome = {}
         done = threading.Event()
 
@@ -322,9 +341,12 @@ class TestAckThenClose:
         try:
             worker = spawn_local_worker(coordinator.address)
             coordinator.submit_single(
-                remote_cells.slow_square, [(6, 0.8)], on_done
+                remote_cells.slow_square_marked,
+                [(6, 0.8, str(started))],
+                on_done,
             )
-            time.sleep(0.3)  # the shard is in flight on the worker
+            in_flight = _wait_until(started.exists)  # a worker holds it
+            assert in_flight, "worker never started the shard"
             coordinator.close(drain=True)
             assert done.wait(timeout=10)
             assert outcome == {"result": [36], "failure": None}
@@ -335,6 +357,40 @@ class TestAckThenClose:
                     worker.wait(timeout=10)
                 except subprocess.TimeoutExpired:  # pragma: no cover
                     worker.kill()
+
+    def test_close_fails_queued_job_recoverably(self):
+        """A shard no worker holds at close fails recoverably, at once.
+
+        The drain waits only for held shards, so with no worker the
+        queued job is failed without waiting out ``shutdown_timeout``,
+        and recoverably: the shard never ran, and a caller may run it
+        elsewhere.
+        """
+        outcome = {}
+        done = threading.Event()
+
+        def on_done(result, failure):
+            outcome["result"] = result
+            outcome["failure"] = failure
+            done.set()
+
+        coordinator = RemoteCoordinator("127.0.0.1:0")
+        try:
+            coordinator.submit_single(
+                remote_cells.square_offset, [(6, 0)], on_done
+            )
+            start = time.monotonic()
+            coordinator.close(drain=True)
+            elapsed = time.monotonic() - start
+            assert done.wait(timeout=10)
+        finally:
+            coordinator.close()
+        assert elapsed < coordinator.config.shutdown_timeout
+        assert outcome["result"] is None
+        failure = outcome["failure"]
+        assert isinstance(failure, RemoteRunError)
+        assert failure.recoverable is True
+        assert "unfinished" in str(failure)
 
     def test_submit_after_close_raises(self):
         coordinator = RemoteCoordinator("127.0.0.1:0")
