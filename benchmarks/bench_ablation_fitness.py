@@ -1,10 +1,10 @@
 """A1 — ablation: deadline-CDP vs pure-CDP fitness.
 
-DESIGN.md calls out the fitness interpretation as a key design choice:
-the paper's GA-CDP points sit *at* the FPS thresholds, which implies
-performance beyond the application deadline earns nothing (deadline-
-CDP).  This ablation runs both fitness modes on the same problem and
-prints the resulting designs.
+:mod:`repro.ga.fitness` calls out the fitness interpretation as a key
+design choice: the paper's GA-CDP points sit *at* the FPS thresholds,
+which implies performance beyond the application deadline earns nothing
+(deadline-CDP).  This ablation runs both fitness modes on the same
+problem and prints the resulting designs.
 
 Expected shape: pure CDP chases FPS far past the threshold at higher
 embodied carbon; deadline CDP stops at the threshold with lower carbon.

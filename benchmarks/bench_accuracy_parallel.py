@@ -32,9 +32,8 @@ Usage::
 
 ``--smoke`` shrinks the step-1 library so the run fits CI smoke
 budgets; the behavioural task itself stays paper-scale.  The default
-output path is ``BENCH_accuracy.json`` — this benchmark supersedes
-``bench_accuracy_batch.py`` as the canonical accuracy report (the
-batch-vs-scalar numbers are a subset of what it records).
+output path is ``BENCH_accuracy.json``, the canonical accuracy report
+(its serial-stack tier carries the batch-vs-scalar numbers).
 """
 
 from __future__ import annotations
@@ -150,8 +149,8 @@ def main() -> int:
         ),
         multipliers,
     )
-    # None defers to REPRO_KERNEL_TIER (then auto), so a nightly run
-    # can force e.g. the numba tier without editing the benchmark
+    # None defers to REPRO_KERNEL_TIER (then auto), so a run can force
+    # a tier without editing the benchmark
     kernel_tier = resolve_kernel_tier(None)
     stack_kernel = _timed_drops(
         lambda: BehavioralValidator(

@@ -6,8 +6,8 @@ carbon reduction (%) over the NVDLA sweep for accuracy tiers 0.5 / 1.0 /
 
 Expected shape (paper): single-digit-percent savings that grow with the
 allowed accuracy drop; peak always exceeds average; savings differ
-across nodes (the paper's exact node ordering depends on unpublished
-area/fab assumptions — see EXPERIMENTS.md).
+across nodes (the paper's exact node ordering depends on area/fab
+assumptions it does not publish, so only the shape is reproduced).
 """
 
 from __future__ import annotations

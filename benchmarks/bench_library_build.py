@@ -123,8 +123,8 @@ def main() -> int:
         EngineConfig(mode="batch", workers=2, kernel_tier="numpy"),
         args.trials,
     )
-    # None defers to REPRO_KERNEL_TIER (then auto), so a nightly run
-    # can force e.g. the numba tier without editing the benchmark
+    # None defers to REPRO_KERNEL_TIER (then auto), so a run can force
+    # a tier without editing the benchmark
     kernel_tier = resolve_kernel_tier(None)
     kernel_s, kernel_fp, _ = timed_build(
         settings,

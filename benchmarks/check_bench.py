@@ -30,16 +30,10 @@ library_build=2.5 accuracy_parallel=1.3``) — the two hot loops have
 very different numpy baselines to beat, so one bar would either
 water down the circuit gate or fail the LUT gate.  When the report
 shows that only the numpy tier was available on the benchmarking
-machine (no compiler, no numba) the gate is *skipped with a visible
+machine (no C compiler) the gate is *skipped with a visible
 notice* instead of failing — "nothing to compare" is a provisioning
 condition, not a perf regression.  Reports without the field, or
 benchmarks without a bar in per-benchmark form, are likewise skipped.
-
-Reports from the task-graph overlap benchmark (``bench_overlap.py``)
-carry ``overlap_speedup`` — barriered two-stage dispatch vs pipelined
-:class:`~repro.engine.taskgraph.TaskGraph` dispatch on the same work;
-pass ``--min-overlap-speedup`` to gate it.  Reports without the field
-are skipped by that gate.
 
 Reports that price the self-healing remote fleet carry
 ``recovery_overhead`` (relative slowdown of a hardened coordinator —
@@ -69,7 +63,6 @@ def check_report(
     min_speedup: float,
     max_checkpoint_overhead: Optional[float] = None,
     min_kernel_speedup=None,
-    min_overlap_speedup: Optional[float] = None,
     max_recovery_overhead: Optional[float] = None,
 ) -> List[str]:
     """Validate one BENCH report; returns a list of failure messages."""
@@ -143,17 +136,6 @@ def check_report(
                 f"({report.get('kernel_tier')})"
             )
 
-    overlap_speedup = report.get("overlap_speedup")
-    overlap_extra = ""
-    if min_overlap_speedup is not None and overlap_speedup is not None:
-        if overlap_speedup < min_overlap_speedup:
-            failures.append(
-                f"{name}: overlap_speedup {overlap_speedup} below the "
-                f"{min_overlap_speedup}x gate"
-            )
-        else:
-            overlap_extra = f", overlap_speedup={overlap_speedup}"
-
     recovery_overhead = report.get("recovery_overhead")
     recovery_extra = ""
     if max_recovery_overhead is not None and recovery_overhead is not None:
@@ -169,7 +151,7 @@ def check_report(
         extra = "" if overhead is None else f", checkpoint_overhead={overhead}"
         print(
             f"ok: {name} — identical=True, speedup={speedup}"
-            f"{extra}{kernel_extra}{overlap_extra}{recovery_extra}"
+            f"{extra}{kernel_extra}{recovery_extra}"
         )
     return failures
 
@@ -202,13 +184,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(unlisted benchmarks are not gated).  Skipped with a notice "
         "when the report shows only the numpy tier was available, or "
         "carries no kernel_speedup field",
-    )
-    parser.add_argument(
-        "--min-overlap-speedup", type=float, default=None, metavar="X",
-        help="minimum acceptable task-graph overlap speedup (barriered "
-        "waves vs pipelined dispatch, see bench_overlap.py); off by "
-        "default, reports without the overlap_speedup field are "
-        "skipped",
     )
     parser.add_argument(
         "--max-recovery-overhead", type=float, default=None,
@@ -244,7 +219,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args.min_speedup,
                 args.max_checkpoint_overhead,
                 min_kernel_speedup,
-                args.min_overlap_speedup,
                 args.max_recovery_overhead,
             )
         )

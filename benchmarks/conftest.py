@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
 The benchmarks regenerate every table and figure of the paper's
-evaluation (see DESIGN.md's per-experiment index).  Heavy shared state —
+evaluation (each ``bench_*.py`` docstring names its experiment and the
+expected shape).  Heavy shared state —
 the step-1 multiplier library — is built once per session so individual
 benchmarks measure their own experiment, not library construction.
 """

@@ -1,7 +1,7 @@
 """Closed-form multiplier-error -> accuracy-drop model.
 
-Model derivation (documented in DESIGN.md as the ApproxTrain
-substitution):
+Model derivation (the analytical half of the ApproxTrain substitute
+described in :mod:`repro.accuracy`):
 
 1. Under a zero-centred DNN operand distribution, one approximate
    multiplication contributes an error with moments (bias, variance)

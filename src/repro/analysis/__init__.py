@@ -63,11 +63,6 @@ Rule inventory
     flagged, and locally-defined kernel callables must match the
     reference arity (2/2/4).
 
-``DEP001`` — deprecation hygiene (error)
-    No callers of the deprecated ``GridRunner.map``/``map_batches``
-    shims; use ``runner.run(ExecutionPlan.for_cells(...))`` /
-    ``for_batches(...)``.
-
 ``TMO001`` — bounded blocking in engine code (error)
     Scoped to modules under an ``engine/`` directory: ``.wait()``
     calls must pass a timeout (bare ``Event.wait()`` /

@@ -477,78 +477,6 @@ def check_kernel_parity(context: AnalysisContext) -> Iterator[Finding]:
 
 
 # --------------------------------------------------------------------------
-# DEP001 — deprecation hygiene: no callers of the map-era shims.
-# --------------------------------------------------------------------------
-
-#: Factory shapes that produce a GridRunner (for resolving ``x.map``).
-_RUNNER_FACTORIES = {"GridRunner", "grid_runner", "accuracy_runner"}
-
-
-def _grid_runner_names(tree: ast.Module) -> Set[str]:
-    names: Set[str] = set()
-    for node in ast.walk(tree):
-        if not (
-            isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
-        ):
-            continue
-        func = node.value.func
-        produced = (
-            isinstance(func, ast.Name) and func.id in _RUNNER_FACTORIES
-        ) or (
-            isinstance(func, ast.Attribute) and func.attr in _RUNNER_FACTORIES
-        )
-        if produced:
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-    return names
-
-
-def check_deprecated_shims(context: AnalysisContext) -> Iterator[Finding]:
-    for info in context.modules:
-        runner_names = _grid_runner_names(info.tree)
-        for node in ast.walk(info.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-            ):
-                continue
-            attr = node.func.attr
-            value = node.func.value
-            if attr == "map_batches":
-                yield info.finding(
-                    "DEP001",
-                    node.lineno,
-                    "GridRunner.map_batches is a deprecated shim; use "
-                    "runner.run(ExecutionPlan.for_batches(fn, items, "
-                    "extra))",
-                )
-            elif attr == "map":
-                from_runner = (
-                    isinstance(value, ast.Name) and value.id in runner_names
-                ) or (
-                    isinstance(value, ast.Call)
-                    and (
-                        (
-                            isinstance(value.func, ast.Name)
-                            and value.func.id in _RUNNER_FACTORIES
-                        )
-                        or (
-                            isinstance(value.func, ast.Attribute)
-                            and value.func.attr in _RUNNER_FACTORIES
-                        )
-                    )
-                )
-                if from_runner:
-                    yield info.finding(
-                        "DEP001",
-                        node.lineno,
-                        "GridRunner.map is a deprecated shim; use "
-                        "runner.run(ExecutionPlan.for_cells(fn, cells))",
-                    )
-
-
-# --------------------------------------------------------------------------
 # TMO001 — bounded blocking in engine code: every wait has a timeout.
 # --------------------------------------------------------------------------
 
@@ -672,12 +600,6 @@ _BUILTIN_RULES: Sequence[Tuple[str, object, str, str]] = (
         "error",
         "every compiled kernel tier implements the full kernel set "
         "with reference signatures",
-    ),
-    (
-        "DEP001",
-        check_deprecated_shims,
-        "error",
-        "no callers of the deprecated GridRunner.map/map_batches shims",
     ),
     (
         "TMO001",

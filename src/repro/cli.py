@@ -12,13 +12,13 @@ Exposes the headline flows without writing Python::
     python -m repro sensitivity --which grid
 
 ``--fast`` shrinks every search for smoke runs; omit it for the
-paper-scale settings used in EXPERIMENTS.md.  The experiment commands
-accept ``--grid-mode {auto,serial,thread,process,remote}``,
-``--grid-workers`` and ``--shards`` to control which execution backend
-runs the harness's cells and how they are sharded (every backend prints
-identical results).  ``--profile SPEC`` sets every execution knob in
-one flag (``--profile process,workers=8``); explicit per-knob flags
-still win over the profile.
+paper-scale settings (``DEFAULT_SETTINGS`` in
+:mod:`repro.experiments.common`).  The experiment commands accept
+``--grid-mode {auto,serial,thread,process,remote}``, ``--grid-workers``
+and ``--shards`` to control which execution backend runs the harness's
+cells and how they are sharded (every backend prints identical
+results).  ``--kernel-tier {auto,numpy,c}`` picks the compiled-kernel
+tier for the batched hot loops (every tier prints identical results).
 
 Multi-node runs use the ``remote`` backend: the harness process becomes
 a TCP coordinator and worker daemons pull cells from it::
@@ -81,9 +81,6 @@ def _settings(args: argparse.Namespace):
         # replace() re-runs __post_init__, which rejects --resume
         # without --checkpoint-dir before any search starts
         settings = replace(settings, **checkpoint_overrides)
-    profile_overrides = {}
-    if getattr(args, "profile", None) is not None:
-        profile_overrides["profile"] = args.profile
     grid_overrides = {}
     if getattr(args, "grid_mode", None) is not None:
         grid_overrides["grid_mode"] = args.grid_mode
@@ -106,20 +103,14 @@ def _settings(args: argparse.Namespace):
         accuracy_overrides["accuracy_coordinator"] = args.accuracy_coordinator
     if getattr(args, "task_deadline", None) is not None:
         grid_overrides["task_deadline_s"] = args.task_deadline
-    if profile_overrides or grid_overrides or accuracy_overrides:
-        # profile and explicit flags merge in one replace():
-        # __post_init__ lets any legacy field set away from its default
-        # (i.e. an explicit --grid-*/--accuracy-* flag) win over the
-        # profile, while unset knobs take the profile's values
-        settings = replace(
-            settings, **profile_overrides, **grid_overrides, **accuracy_overrides
-        )
+    if grid_overrides or accuracy_overrides:
+        settings = replace(settings, **grid_overrides, **accuracy_overrides)
         # surface invalid options (e.g. --coordinator without
         # --grid-mode remote) now, not after the minutes-long library
         # build that every harness runs first
-        if grid_overrides or profile_overrides:
+        if grid_overrides:
             settings.grid_runner()
-        if accuracy_overrides or profile_overrides:
+        if accuracy_overrides:
             settings.accuracy_runner()
     return settings
 
@@ -348,20 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--kernel-tier", default=None, metavar="TIER",
             help="compiled-kernel tier for the batched hot loops "
-            "(auto/numpy/numba/c; default: $REPRO_KERNEL_TIER or "
+            "(auto/numpy/c; default: $REPRO_KERNEL_TIER or "
             "auto = fastest available; every tier is bit-identical, "
             "and an unavailable tier degrades to numpy with a warning)",
-        )
-        p.add_argument(
-            "--profile", default=None, metavar="SPEC",
-            help="execution profile setting every engine knob at once: "
-            "'[MODE][,key=value]*', e.g. 'process,workers=8' or "
-            "'remote,coordinator=0.0.0.0:7777,workers=0,kernel=c'. "
-            "A bare MODE sets both the grid and accuracy stages; "
-            "workers/shards/coordinator apply to both stages, "
-            "grid_*/accuracy_* keys target one, and kernel/stack set "
-            "kernel_tier/stack_workers.  Explicit --grid-*/--accuracy-* "
-            "flags override the profile",
         )
         p.add_argument(
             "--task-deadline", type=float, default=None, metavar="SECONDS",

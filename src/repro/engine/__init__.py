@@ -31,12 +31,11 @@ that make the searches fast without changing a single result:
 * :mod:`repro.engine.worker` — the remote worker daemon
   (``python -m repro.engine.worker --connect HOST:PORT``) that pulls
   pickled cell shards from a coordinator and streams results back;
-* :mod:`repro.engine.taskgraph` — the async task-graph layer:
+* :mod:`repro.engine.taskgraph` — the futures layer:
   :class:`EngineSession` (``submit(fn, cells) -> TaskFuture`` with
-  bounded backpressure over any backend), :class:`CoordinatorSession`
+  bounded backpressure over any backend) and :class:`CoordinatorSession`
   (a persistent remote session whose worker fleet outlives individual
-  jobs; concurrent jobs work-steal from one shared queue), and
-  :class:`TaskGraph` (dependency-ordered submission);
+  jobs; concurrent jobs work-steal from one shared queue);
 * :mod:`repro.engine.grid` — :class:`GridRunner`: experiment cells
   sharded across the configured backend with deterministically ordered
   results regardless of shard count, worker count, or worker failures;
@@ -61,41 +60,25 @@ Static invariants
 The contracts this package lives by — seeded RNG only, no wall-clock
 or other nondeterministic inputs on engine paths, picklable callables
 at backend boundaries, complete settings fingerprints on checkpointed
-configs, all-or-none kernel-tier registrations, no new callers of the
-deprecated map shims — are enforced by an AST checker,
+configs, all-or-none kernel-tier registrations, bounded waits in engine
+code — are enforced by an AST checker,
 :mod:`repro.analysis` (``python -m repro.analysis src benchmarks`` or
 ``repro lint-invariants``), which CI runs as a required job.  Rule
-codes: RNG001, NDT001, PKL001, FPR001, KRN001, DEP001, SUP001; a
+codes: RNG001, NDT001, PKL001, FPR001, KRN001, TMO001, SUP001; a
 finding is silenced with a trailing ``# repro: noqa[CODE]`` whose code
 must name a registered rule.  See the "Static invariants" section of
 ``PERF.md`` for the full inventory and the fingerprint-declaration
 syntax (``# repro: fingerprinted[DECL]`` /
 ``# repro: non-trajectory[reason]``).
 
-Migrating from the blocking map calls (pre task-graph API)
-----------------------------------------------------------
+Determinism through the futures layer
+-------------------------------------
 
-The blocking entry points still work but now route through the
-submit/future engine; new code should use the task-graph API directly:
-
-========================================  =================================================
-old call                                  new API
-========================================  =================================================
-``runner.map(fn, cells)``                 ``runner.run(ExecutionPlan.for_cells(fn, cells))``
-``runner.map_batches(fn, items, extra)``  ``runner.run(ExecutionPlan.for_batches(fn, items, extra))``
-``backend.map_shards(fn, shards)``        ``session = EngineSession(backend)``;
-                                          ``futures = [session.submit(fn, s) for s in shards]``;
-                                          ``session.gather(futures)``
-one coordinator per ``map_shards``        ``CoordinatorSession(...)`` — submit many jobs;
-                                          the fleet persists between them
-========================================  =================================================
-
-``GridRunner.map``/``map_batches`` emit :class:`DeprecationWarning` and
-delegate to ``run``.  ``ExecutorBackend.map_shards`` remains the
-determinism contract every backend is tested against (it is *not*
-deprecated); ``EngineSession.submit`` resolves each shard's future with
-exactly ``run_shard(fn, cells)``, gathered in submission order, so the
-future path inherits the same bit-identical guarantee.
+``ExecutorBackend.map_shards`` is the determinism contract every
+backend is tested against; ``EngineSession.submit`` resolves each
+shard's future with exactly ``run_shard(fn, cells)``, gathered in
+submission order, so the future path inherits the same bit-identical
+guarantee.
 """
 
 from repro.engine.backends import (
@@ -136,7 +119,6 @@ from repro.engine.taskgraph import (
     CoordinatorSession,
     EngineSession,
     TaskFuture,
-    TaskGraph,
 )
 from repro.engine.vectorized import (
     crowding_distance_np,
@@ -155,7 +137,6 @@ __all__ = [
     "EngineSession",
     "ExecutionPlan",
     "TaskFuture",
-    "TaskGraph",
     "FaultInjector",
     "FallbackBackend",
     "FitnessDiskCache",

@@ -40,8 +40,9 @@ coordinator answers ``task`` (shard id + function + cells) or
 coordinator with ``ack`` once the result is recorded, so a worker (or
 coordinator) going down right after a result lands can never requeue
 that shard spuriously — or ``error``.  A worker that dies holding a
-task has the task requeued (at most :data:`MAX_REQUEUES` times); a
-worker that connects mid-run simply starts pulling remaining tasks.
+task has the task requeued (at most ``CoordinatorConfig.max_requeues``
+times); a worker that connects mid-run simply starts pulling remaining
+tasks.
 Pickle implies *trusted networks only* — the coordinator executes
 nothing, but workers unpickle and run what the coordinator sends, so
 treat the port like an SSH key, not a public API.
@@ -49,15 +50,15 @@ treat the port like an SSH key, not a public API.
 The coordinator is a *session*: it serves any number of concurrent
 jobs — blocking :meth:`RemoteCoordinator.map_shards` calls and
 asynchronous :meth:`RemoteCoordinator.submit_single` tasks (the
-futures entry point used by :class:`repro.engine.taskgraph.
-EngineSession`) — over one shared task queue.  Workers pull whatever
-task is next regardless of which job enqueued it, so shards from
-concurrent jobs are work-stolen by whichever worker frees up first;
-failure stays job-scoped (a deterministic cell exception fails its own
-job, never a co-tenant).  :meth:`RemoteCoordinator.close` drains
-in-flight tasks before tearing the fleet down (ack-then-close): the
-last shard of a session is recorded, acknowledged, and only then are
-workers shut down.
+futures entry point used by
+:class:`repro.engine.taskgraph.EngineSession`) — over one shared task
+queue.  Workers pull whatever task is next regardless of which job
+enqueued it, so shards from concurrent jobs are work-stolen by
+whichever worker frees up first; failure stays job-scoped (a
+deterministic cell exception fails its own job, never a co-tenant).
+:meth:`RemoteCoordinator.close` drains in-flight tasks before tearing
+the fleet down (ack-then-close): the last shard of a session is
+recorded, acknowledged, and only then are workers shut down.
 
 Self-healing (fleet fault tolerance): the coordinator optionally
 enforces a *per-task deadline* (``CoordinatorConfig.task_deadline_s``)
@@ -114,11 +115,6 @@ Cell = Tuple[Any, ...]
 #: Version 2 added the result ``ack`` (the coordinator confirms every
 #: recorded result before the worker asks for more work).
 PROTOCOL_VERSION = 2
-
-#: Deprecated alias: the default shard-requeue budget.  The live knob
-#: is :attr:`CoordinatorConfig.max_requeues` (env ``REPRO_MAX_REQUEUES``);
-#: this constant only survives as its default value.
-MAX_REQUEUES = 3
 
 
 def _env_float(name: str, default: float) -> float:
@@ -191,8 +187,7 @@ class CoordinatorConfig:
             behaviour.
         max_requeues: how many times one shard may be requeued after
             worker deaths or deadline revocations before the job fails
-            with a recoverable error (default: the deprecated module
-            constant :data:`MAX_REQUEUES` = 3).
+            with a recoverable error (default 3).
         quarantine_threshold: a worker accumulating this many failures
             plus timeouts is quarantined — it gets no new assignments
             until ``quarantine_cooldown_s`` elapses, after which it is
@@ -219,7 +214,7 @@ class CoordinatorConfig:
     poll_interval: float = 0.2
     shutdown_timeout: float = 5.0
     task_deadline_s: Optional[float] = None
-    max_requeues: int = MAX_REQUEUES
+    max_requeues: int = 3
     quarantine_threshold: int = 3
     quarantine_cooldown_s: float = 30.0
     journal_path: Optional[str] = None
@@ -260,7 +255,7 @@ class CoordinatorConfig:
             poll_interval=_env_float("REPRO_COORDINATOR_POLL_S", 0.2),
             shutdown_timeout=_env_float("REPRO_COORDINATOR_SHUTDOWN_S", 5.0),
             task_deadline_s=_env_optional_float("REPRO_TASK_DEADLINE_S"),
-            max_requeues=_env_int("REPRO_MAX_REQUEUES", MAX_REQUEUES),
+            max_requeues=_env_int("REPRO_MAX_REQUEUES", 3),
             quarantine_threshold=_env_int("REPRO_QUARANTINE_THRESHOLD", 3),
             quarantine_cooldown_s=_env_float("REPRO_QUARANTINE_COOLDOWN_S", 30.0),
             journal_path=journal or None,
@@ -293,8 +288,7 @@ class RemoteRunError(ExperimentError):
 
 
 # --------------------------------------------------------------------------
-# Shared warm process pool (moved here from repro.engine.grid, which
-# re-exports these names for compatibility).
+# Shared warm process pool.
 # --------------------------------------------------------------------------
 
 #: Pools kept alive across runs, keyed by configured worker count.

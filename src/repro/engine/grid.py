@@ -23,27 +23,22 @@ fault tolerance free, because a reassigned cell recomputes the same
 answer anywhere.
 
 The warm-pool helpers (``shared_process_pool`` and friends) live in
-:mod:`repro.engine.backends` and are re-exported here for
-compatibility.
+:mod:`repro.engine.backends`.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.engine.backends import (  # noqa: F401  (compat re-exports)
+from repro.engine.backends import (
     Cell,
     ExecutorBackend,
     backend_names,
     create_backend,
-    discard_process_pool,
     in_pool_worker,
     run_shard,
-    shared_process_pool,
-    shutdown_shared_pools,
 )
 from repro.engine.taskgraph import EngineSession
 from repro.errors import ExperimentError
@@ -137,9 +132,7 @@ class GridConfig:
 class ExecutionPlan:
     """One declarative unit of grid work: what to run, over what.
 
-    The consolidated :meth:`GridRunner.run` entry point executes plans;
-    the two shapes correspond to the legacy ``map``/``map_batches``
-    pair:
+    :meth:`GridRunner.run` executes plans, which come in two shapes:
 
     - ``ExecutionPlan.for_cells(fn, cells)`` — evaluate ``fn(*cell)``
       per cell; ``run`` returns ``[fn(*cell) for cell in cells]``.
@@ -209,11 +202,6 @@ class GridRunner:
     process pool degrades to the serial reference, and a remote worker
     dying mid-cell has the cell reassigned (results are a pure function
     of the cells, so the answer is the same — only slower).
-
-    Long-lived clients that want to overlap stages can skip the
-    blocking entry point and drive a :meth:`session` directly:
-    ``submit`` shards as their inputs become available, gather futures
-    when (and only when) the results are needed.
     """
 
     def __init__(self, config: Optional[GridConfig] = None):
@@ -269,24 +257,6 @@ class GridRunner:
             spawn=self.config.workers if mode in REMOTE_MODES else None,
             task_deadline_s=self.config.task_deadline_s,
         )
-
-    def session(
-        self, n_tasks: int = 0, max_inflight: Optional[int] = None
-    ) -> EngineSession:
-        """An :class:`EngineSession` over this runner's resolved backend.
-
-        ``n_tasks`` is the expected task count, used only for mode
-        resolution (``auto`` picks serial for a single local task);
-        ``0`` means "unknown, assume many".  The caller owns the
-        session (``with runner.session() as session:``); closing it
-        leaves shared backends (warm pool, coordinator fleet) up.
-        """
-        n_tasks = n_tasks or (self.config.resolved_workers() + 1)
-        mode = self.resolved_mode(n_tasks)
-        if (mode == "process" or mode in REMOTE_MODES) and in_pool_worker():
-            mode = "serial"  # no nested fan-out — see in_pool_worker()
-        backend = self.backend(mode, n_shards=n_tasks)
-        return EngineSession(backend, max_inflight=max_inflight)
 
     def run(self, plan: ExecutionPlan) -> List[Any]:
         """Execute one plan; results in item order (the single entry point).
@@ -344,30 +314,3 @@ class GridRunner:
         cells = [(batch,) + extra for batch in batches]
         results = self._run_cells(fn, cells)
         return [value for batch_result in results for value in batch_result]
-
-    # -- deprecated map-style shims ------------------------------------
-
-    def map(self, fn: Callable[..., Any], cells: Sequence[Cell]) -> List[Any]:
-        """Deprecated: use ``run(ExecutionPlan.for_cells(fn, cells))``."""
-        warnings.warn(
-            "GridRunner.map is deprecated; use "
-            "GridRunner.run(ExecutionPlan.for_cells(fn, cells))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(ExecutionPlan.for_cells(fn, cells))
-
-    def map_batches(
-        self,
-        fn: Callable[..., List[Any]],
-        items: Sequence[Any],
-        extra: Sequence[Any] = (),
-    ) -> List[Any]:
-        """Deprecated: use ``run(ExecutionPlan.for_batches(fn, items))``."""
-        warnings.warn(
-            "GridRunner.map_batches is deprecated; use "
-            "GridRunner.run(ExecutionPlan.for_batches(fn, items, extra))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(ExecutionPlan.for_batches(fn, items, extra))

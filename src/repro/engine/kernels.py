@@ -13,9 +13,6 @@ loops behind a small registry mirroring the
 * ``c``      — a tiny C library compiled at import time with the host
   toolchain (``cc``/``gcc``/``clang``) and called through ctypes
   (:mod:`repro.engine.kernels_c`).  Skipped when no compiler exists.
-* ``numba``  — ``@njit(nopython)`` transcriptions of the same loops
-  (:mod:`repro.engine.kernels_numba`).  Skipped when numba is not
-  installed.
 
 Selection goes through :func:`resolve_kernel_tier`: an explicit tier
 name, the ``REPRO_KERNEL_TIER`` environment variable, or ``auto`` (the
@@ -42,8 +39,8 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -70,8 +67,8 @@ class KernelError(ExperimentError):
 # Kernel plans: flat array views of the compiled circuit program.
 #
 # The plan objects carry everything a native kernel needs as plain
-# contiguous numpy arrays, so the implementation modules (C/numba)
-# depend only on this module, never on repro.circuits.
+# contiguous numpy arrays, so the implementation module (C) depends
+# only on this module, never on repro.circuits.
 # --------------------------------------------------------------------------
 
 #: Operand/result source codes used by :class:`SlabPlan`.
@@ -143,10 +140,10 @@ class KernelImpl:
     """One loaded kernel tier.
 
     Attributes:
-        name: registry name (``numpy`` / ``c`` / ``numba`` / ...).
+        name: registry name (``numpy`` / ``c`` / ...).
         version: human-readable backing-dependency version (e.g.
-            ``numpy 2.4.6``, ``numba 0.60.0``, a compiler id for the C
-            tier) stamped into benchmark reports.
+            ``numpy 2.4.6``, a compiler id for the C tier) stamped into
+            benchmark reports.
         simulate_tables: optional ``(SlabPlan, ties) -> (P, n_cases)
             uint64`` exhaustive result tables (``ties`` is the boolean
             ``(P, n_cands)`` genome matrix).
@@ -261,8 +258,8 @@ def validate_kernel_tier(tier: Optional[str]) -> None:
 
     ``None`` and ``auto`` are always valid; an unavailable-but-known
     tier is valid too (it degrades to numpy with a warning at resolve
-    time — an engine config written on a numba machine must still load
-    on a numpy-only one).
+    time — an engine config written on a machine with a C compiler must
+    still load on a numpy-only one).
     """
     if tier is None or tier == AUTO_TIER:
         return
@@ -471,14 +468,7 @@ def _load_c_tier() -> KernelImpl:
     return kernels_c.load()
 
 
-def _load_numba_tier() -> KernelImpl:
-    from repro.engine import kernels_numba
-
-    return kernels_numba.load()
-
-
 register_kernel_tier(NUMPY_TIER, _load_numpy_tier, priority=0)
-register_kernel_tier("numba", _load_numba_tier, priority=50)
 register_kernel_tier("c", _load_c_tier, priority=100)
 
 

@@ -1,10 +1,11 @@
-"""Async task graph over the execution backends: futures + backpressure.
+"""Futures with backpressure over the execution backends.
 
-The map-style entry points (:meth:`GridRunner.map_shards`,
-:class:`PopulationEvaluator`) are synchronous barriers: every wave must
-fully complete before the next one is even *submitted*, so a run can
-never overlap its library build, accuracy stage, and search.  This
-module is the asynchronous layer underneath them:
+A backend's ``map_shards`` is a synchronous barrier: every shard of a
+wave must complete before the caller gets anything back.  This module
+is the asynchronous layer the engine clients submit through
+(:class:`~repro.engine.grid.GridRunner`,
+:class:`~repro.engine.population.PopulationEvaluator` and the
+overlapped step-1 library build):
 
 ``EngineSession``
     wraps any :class:`~repro.engine.backends.ExecutorBackend` and turns
@@ -25,14 +26,6 @@ module is the asynchronous layer underneath them:
     its own futures but leaves the coordinator and its warm fleet up
     for the next client.
 
-``TaskGraph``
-    a thin dependency layer: ``add(fn, cells, after=...)`` nodes are
-    submitted the moment their dependencies resolve, from a dedicated
-    dispatch thread (never from a result-callback thread, which could
-    deadlock against the backpressure bound).  This is what lets
-    generation ``g+1``'s circuit evaluation overlap generation ``g``'s
-    streaming accuracy scores.
-
 Determinism contract: ``session.map_shards(fn, shards)`` equals
 ``[[fn(*cell) for cell in shard] for shard in shards]`` for every
 backend, exactly like the blocking backend protocol — futures change
@@ -42,19 +35,8 @@ backend, exactly like the blocking backend protocol — futures change
 from __future__ import annotations
 
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.engine.backends import (
     Cell,
@@ -77,7 +59,6 @@ __all__ = [
     "TaskFuture",
     "EngineSession",
     "CoordinatorSession",
-    "TaskGraph",
 ]
 
 
@@ -301,28 +282,6 @@ class EngineSession:
         """Results of ``futures`` in the given (submission) order."""
         return [future.result() for future in futures]
 
-    @staticmethod
-    def as_completed(
-        futures: Iterable[TaskFuture],
-    ) -> Iterator[TaskFuture]:
-        """Yield futures in completion order (out-of-order streaming)."""
-        futures = list(futures)
-        ready: "deque[TaskFuture]" = deque()
-        signal = threading.Condition()
-
-        def on_done(future: TaskFuture) -> None:
-            with signal:
-                ready.append(future)
-                signal.notify()
-
-        for future in futures:
-            future.add_done_callback(on_done)
-        for _ in range(len(futures)):
-            with signal:
-                while not ready:
-                    signal.wait(POLL_INTERVAL_S)
-                yield ready.popleft()
-
     def drain(self) -> None:
         """Block until every shard submitted so far has resolved."""
         with self._state:
@@ -397,151 +356,3 @@ class CoordinatorSession(EngineSession):
         """
         health = getattr(self.backend, "fleet_health", None)
         return health() if health is not None else {}
-
-
-class _GraphNode:
-    __slots__ = ("fn", "cells", "cells_from", "after", "future", "pending")
-
-    def __init__(
-        self,
-        fn: Callable[..., Any],
-        cells: Optional[Sequence[Cell]],
-        cells_from: Optional[Callable[[List[List[Any]]], Sequence[Cell]]],
-        after: Tuple[TaskFuture, ...],
-    ):
-        self.fn = fn
-        self.cells = cells
-        self.cells_from = cells_from
-        self.after = after
-        self.future = TaskFuture()
-        self.pending = len(after)
-
-
-class TaskGraph:
-    """Dependency-ordered submission onto an :class:`EngineSession`.
-
-    ``add(fn, cells)`` nodes with no dependencies are submitted
-    immediately; ``add(fn, after=(a, b), cells_from=build)`` nodes wait
-    until every dependency resolves, then ``build([a_result,
-    b_result])`` produces their cells and they join the session queue.
-    All submission happens on one dedicated dispatch thread — result
-    callbacks only flip dependency counters, so a full backpressure
-    bound can never deadlock the backend's own completion path.
-
-    A failed dependency fails its dependents (same exception) without
-    running them; independent branches are unaffected — the graph is
-    the async analogue of job-scoped failure in the coordinator.
-    """
-
-    def __init__(self, session: EngineSession):
-        self.session = session
-        self._ready: "deque[_GraphNode]" = deque()
-        self._state = threading.Condition()
-        self._open_nodes = 0
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._dispatch_loop, daemon=True
-        )
-        self._thread.start()
-
-    def add(
-        self,
-        fn: Callable[..., Any],
-        cells: Optional[Sequence[Cell]] = None,
-        after: Sequence[TaskFuture] = (),
-        cells_from: Optional[
-            Callable[[List[List[Any]]], Sequence[Cell]]
-        ] = None,
-    ) -> TaskFuture:
-        """Register one node; returns the future of its shard.
-
-        Exactly one of ``cells`` (static shard) or ``cells_from``
-        (shard built from the dependencies' results, in ``after``
-        order) must be given.
-        """
-        if (cells is None) == (cells_from is None):
-            raise ExperimentError(
-                "TaskGraph.add takes exactly one of cells/cells_from"
-            )
-        if cells_from is not None and not after:
-            raise ExperimentError("cells_from requires dependencies (after)")
-        node = _GraphNode(fn, cells, cells_from, tuple(after))
-        with self._state:
-            if self._closed:
-                raise ExperimentError("task graph is closed")
-            self._open_nodes += 1
-            if node.pending == 0:
-                self._ready.append(node)
-                self._state.notify_all()
-        if node.pending:
-
-            def on_dep_done(_dep: TaskFuture) -> None:
-                with self._state:
-                    node.pending -= 1
-                    if node.pending == 0:
-                        self._ready.append(node)
-                        self._state.notify_all()
-
-            for dep in node.after:
-                dep.add_done_callback(on_dep_done)
-        return node.future
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._state:
-                while not self._ready and not self._closed:
-                    self._state.wait(POLL_INTERVAL_S)
-                if not self._ready and self._closed:
-                    return
-                node = self._ready.popleft()
-            self._dispatch(node)
-            with self._state:
-                self._open_nodes -= 1
-                self._state.notify_all()
-
-    def _dispatch(self, node: _GraphNode) -> None:
-        failed = next(
-            (dep for dep in node.after if dep.exception() is not None), None
-        )
-        if failed is not None:
-            node.future._resolve(None, failed.exception())
-            return
-        try:
-            cells = (
-                node.cells
-                if node.cells is not None
-                else node.cells_from([dep.result() for dep in node.after])
-            )
-            submitted = self.session.submit(node.fn, cells)
-        except Exception as exc:  # noqa: BLE001 - stored, re-raised
-            node.future._resolve(None, exc)
-            return
-        submitted.add_done_callback(
-            lambda done: node.future._resolve(
-                done._value, done._error
-            )
-        )
-
-    def join(self) -> None:
-        """Block until every added node has been *submitted*.
-
-        Gather the returned futures (or ``session.drain()``) to wait
-        for the results themselves.
-        """
-        with self._state:
-            while self._open_nodes > 0:
-                self._state.wait(POLL_INTERVAL_S)
-
-    def close(self) -> None:
-        """Wait for all nodes to dispatch, then stop the thread."""
-        self.join()
-        with self._state:
-            self._closed = True
-            self._state.notify_all()
-        self._thread.join()
-
-    def __enter__(self) -> "TaskGraph":
-        return self
-
-    def __exit__(self, *_exc: Any) -> None:
-        self.close()

@@ -14,7 +14,6 @@ the multi-node remote coordinator.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -29,122 +28,6 @@ from repro.errors import ExperimentError
 from repro.ga.engine import GaConfig
 from repro.nn.inference import resolve_stack_workers
 from repro.nn.synthetic import SyntheticTask
-
-
-@dataclass(frozen=True)
-class ExecutionProfile:
-    """The execution knobs, grouped: one object instead of ten fields.
-
-    :class:`ExperimentSettings` sprawls ten execution-policy fields
-    across two dispatch stages (grid and accuracy) plus the inference
-    tiling and kernel tier.  A profile carries all of them as one
-    value, so call sites configure execution in one place::
-
-        ExperimentSettings(profile=ExecutionProfile.parse(
-            "process,workers=8,kernel=c"))
-
-    Field semantics are identical to the matching
-    :class:`ExperimentSettings` attributes.  A profile never overrides
-    a legacy field that was set explicitly (see the merge rule on
-    ``ExperimentSettings``), so existing keyword call sites keep
-    working unchanged.
-    """
-
-    grid_mode: str = "auto"
-    grid_workers: Optional[int] = None
-    grid_shards: Optional[int] = None
-    grid_coordinator: Optional[str] = None
-    accuracy_mode: str = "auto"
-    accuracy_workers: Optional[int] = None
-    accuracy_shards: Optional[int] = None
-    accuracy_coordinator: Optional[str] = None
-    stack_workers: Optional[Union[int, str]] = None
-    kernel_tier: Optional[str] = None
-    task_deadline_s: Optional[float] = None
-
-    #: keys accepted by :meth:`parse`; shorthands fan out to both stages
-    _SHORTHANDS = {
-        "workers": ("grid_workers", "accuracy_workers"),
-        "shards": ("grid_shards", "accuracy_shards"),
-        "coordinator": ("grid_coordinator", "accuracy_coordinator"),
-        "kernel": ("kernel_tier",),
-        "stack": ("stack_workers",),
-        "deadline": ("task_deadline_s",),
-    }
-    _INT_FIELDS = (
-        "grid_workers", "grid_shards", "accuracy_workers", "accuracy_shards",
-    )
-    _FLOAT_FIELDS = ("task_deadline_s",)
-
-    @classmethod
-    def parse(cls, spec: str) -> "ExecutionProfile":
-        """Build a profile from a ``--profile`` string.
-
-        Grammar: ``[MODE][,key=value]*``.  A leading bare ``MODE``
-        token sets both ``grid_mode`` and ``accuracy_mode``; the
-        shorthand keys ``workers`` / ``shards`` / ``coordinator``
-        likewise apply to both stages, while stage-qualified keys
-        (``grid_workers=8``, ``accuracy_mode=thread``) hit one field.
-        ``kernel`` and ``stack`` abbreviate ``kernel_tier`` and
-        ``stack_workers``.  Examples::
-
-            --profile process
-            --profile process,workers=8,kernel=c
-            --profile remote,workers=0,coordinator=10.0.0.5:7777
-            --profile process,accuracy_mode=thread,stack=4
-        """
-        field_names = {field.name for field in dataclasses.fields(cls)}
-        values: dict = {}
-        tokens = [token.strip() for token in spec.split(",") if token.strip()]
-        if not tokens:
-            raise ExperimentError(f"empty execution profile {spec!r}")
-        if "=" not in tokens[0]:
-            values["grid_mode"] = values["accuracy_mode"] = tokens[0]
-            tokens = tokens[1:]
-        for token in tokens:
-            key, sep, raw = token.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if not sep or not raw:
-                raise ExperimentError(
-                    f"bad profile token {token!r}; expected key=value"
-                )
-            targets = cls._SHORTHANDS.get(key) or (
-                (key,) if key in field_names else None
-            )
-            if targets is None:
-                raise ExperimentError(
-                    f"unknown profile key {key!r}; expected one of "
-                    f"{sorted(field_names | set(cls._SHORTHANDS))}"
-                )
-            for target in targets:
-                if target in cls._INT_FIELDS or (
-                    target == "stack_workers" and raw != "auto"
-                ):
-                    try:
-                        values[target] = int(raw)
-                    except ValueError as exc:
-                        raise ExperimentError(
-                            f"profile key {key!r} needs an integer, "
-                            f"got {raw!r}"
-                        ) from exc
-                elif target in cls._FLOAT_FIELDS:
-                    try:
-                        values[target] = float(raw)
-                    except ValueError as exc:
-                        raise ExperimentError(
-                            f"profile key {key!r} needs a number, "
-                            f"got {raw!r}"
-                        ) from exc
-                else:
-                    values[target] = raw
-        return cls(**values)
-
-
-#: ExperimentSettings fields an ExecutionProfile groups (merge targets).
-_PROFILE_FIELDS = tuple(
-    field.name for field in dataclasses.fields(ExecutionProfile)
-)
 
 
 #: Trajectory declaration for :class:`ExperimentSettings` (see the
@@ -216,8 +99,8 @@ class ExperimentSettings:  # repro: fingerprinted[SETTINGS_TRAJECTORY_FIELDS]
             (``"auto"`` / positive int / ``None`` for the process
             default); every value returns bit-identical drops.
         kernel_tier: compiled-kernel tier for the batched hot loops
-            (``auto`` / ``numpy`` / ``numba`` / ``c`` / ``None`` for
-            the ambient ``REPRO_KERNEL_TIER`` default; see
+            (``auto`` / ``numpy`` / ``c`` / ``None`` for the ambient
+            ``REPRO_KERNEL_TIER`` default; see
             :mod:`repro.engine.kernels`).  Every tier returns
             bit-identical results; an unavailable tier degrades to
             numpy with a warning, so it is not part of any cache or
@@ -238,13 +121,6 @@ class ExperimentSettings:  # repro: fingerprinted[SETTINGS_TRAJECTORY_FIELDS]
             the late result is discarded, so results stay bit-identical
             to serial.  Ignored by the local modes; ``None`` (default)
             waits forever.
-        profile: the ten execution knobs above, grouped as one
-            :class:`ExecutionProfile` (e.g. from ``--profile``).  Merge
-            rule: a legacy field set away from its default wins over
-            the profile; fields left at their default take the
-            profile's value.  After construction ``settings.profile``
-            is always the *canonical* profile reflecting the effective
-            execution policy, whichever spelling configured it.
     """
 
     # repro: non-trajectory[grid axis: harnesses key fingerprints per cell]
@@ -291,34 +167,8 @@ class ExperimentSettings:  # repro: fingerprinted[SETTINGS_TRAJECTORY_FIELDS]
     accuracy_coordinator: Optional[str] = None
     # repro: non-trajectory[recovery policy: late results are discarded]
     task_deadline_s: Optional[float] = None
-    # repro: non-trajectory[canonical grouping of the execution knobs]
-    profile: Optional[Union[ExecutionProfile, str]] = None
 
     def __post_init__(self) -> None:
-        # fold the profile into the legacy knobs first (explicitly set
-        # legacy fields win), then re-derive the canonical profile so
-        # both spellings of the same policy compare and validate alike
-        if self.profile is not None:
-            if isinstance(self.profile, str):
-                object.__setattr__(
-                    self, "profile", ExecutionProfile.parse(self.profile)
-                )
-            defaults = {
-                field.name: field.default
-                for field in dataclasses.fields(type(self))
-            }
-            for name in _PROFILE_FIELDS:
-                if getattr(self, name) == defaults[name]:
-                    object.__setattr__(
-                        self, name, getattr(self.profile, name)
-                    )
-        object.__setattr__(
-            self,
-            "profile",
-            ExecutionProfile(
-                **{name: getattr(self, name) for name in _PROFILE_FIELDS}
-            ),
-        )
         if not self.nodes_nm or not self.networks:
             raise ExperimentError("settings need at least one node and network")
         if not self.fps_thresholds or not self.drop_tiers_percent:

@@ -8,7 +8,7 @@
   mechanism ApproxTrain uses;
 * :mod:`repro.nn.synthetic` — deterministic synthetic classification
   task + prototype-classifier weights (the offline stand-in for an
-  ImageNet subset; see DESIGN.md).
+  ImageNet subset; its module docstring says why).
 """
 
 from repro.nn.zoo import (

@@ -30,7 +30,10 @@ the serial loop, which stays in-tree as that reference.
 
 The engine deliberately supports only what the behavioural accuracy
 study needs (conv + ReLU + max-pool + dense on small images); the big
-zoo networks are never executed here — see DESIGN.md for why.
+zoo networks are never executed here: with no ImageNet data or
+pretrained weights offline, behavioural accuracy is measured on the
+synthetic task (:mod:`repro.nn.synthetic`), and the zoo layer tables
+feed only the dataflow and carbon models.
 """
 
 from __future__ import annotations
@@ -476,7 +479,7 @@ def _lut_matmul_stack(
             )
 
         if len(tiles) > 1:
-            # ctypes/numba calls release the GIL, so the existing
+            # ctypes calls release the GIL, so the existing
             # thread tiling composes with the compiled kernel
             with ThreadPoolExecutor(
                 max_workers=min(workers, len(tiles))

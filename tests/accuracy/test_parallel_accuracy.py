@@ -93,7 +93,7 @@ class TestBackendShardedDrops:
 
 class TestAccuracyBatchCell:
     def test_cell_is_batch_decomposable(self, library):
-        """fn(a + b) == fn(a) + fn(b) — the map_batches requirement."""
+        """fn(a + b) == fn(a) + fn(b) — the for_batches requirement."""
         task = _task()
         luts = [m.lut for m in library]
         whole = _accuracy_batch_cell(luts, task, 1)

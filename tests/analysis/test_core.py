@@ -23,7 +23,7 @@ class TestRegistry:
     def test_builtin_rules_registered(self):
         assert set(rule_codes()) >= {
             "RNG001", "NDT001", "PKL001", "FPR001",
-            "KRN001", "DEP001", "SUP001",
+            "KRN001", "TMO001", "SUP001",
         }
 
     def test_duplicate_code_raises(self):
@@ -198,5 +198,5 @@ class TestCli:
         dirty.write_text(
             "import random\nx = random.random()\n", encoding="utf-8"
         )
-        assert main(["--rules", "DEP001", str(dirty)]) == 0
+        assert main(["--rules", "KRN001", str(dirty)]) == 0
         assert main(["--rules", "RNG001", str(dirty)]) == 1

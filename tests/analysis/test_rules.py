@@ -450,55 +450,6 @@ class TestKrn001:
         assert any("by keyword" in f.message for f in findings)
 
 
-class TestDep001:
-    def test_map_on_constructed_runner_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            """
-            from repro.engine.grid import GridConfig, GridRunner
-
-            runner = GridRunner(GridConfig())
-            out = runner.map(print, [(1,)])
-            """,
-            ["DEP001"],
-        )
-        assert [f.line for f in findings] == [5]
-
-    def test_map_batches_always_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            """
-            out = anything.map_batches(print, [1])
-            """,
-            ["DEP001"],
-        )
-        assert len(findings) == 1
-
-    def test_map_on_factory_result_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            """
-            runner = settings.grid_runner()
-            out = runner.map(print, [(1,)])
-            """,
-            ["DEP001"],
-        )
-        assert len(findings) == 1
-
-    def test_unrelated_map_not_flagged(self, tmp_path):
-        assert lint(
-            tmp_path,
-            """
-            from concurrent.futures import ThreadPoolExecutor
-
-            pool = ThreadPoolExecutor(2)
-            out = list(pool.map(print, [1]))
-            also = list(map(str, [1, 2]))
-            """,
-            ["DEP001"],
-        ) == []
-
-
 class TestTmo001:
     def test_bare_wait_in_engine_flagged(self, tmp_path):
         findings = lint(

@@ -90,5 +90,5 @@ def hang_once_at(value, trigger, sentinel_path, hang_s):
 
 
 def square_batch(values, offset):
-    """Batch-decomposable cell for ``GridRunner.map_batches`` tests."""
+    """Batch-decomposable cell for ``ExecutionPlan.for_batches`` tests."""
     return [value * value + offset for value in values]

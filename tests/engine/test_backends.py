@@ -19,7 +19,6 @@ import pytest
 
 import remote_cells
 from repro.engine.backends import (
-    MAX_REQUEUES,
     PROTOCOL_VERSION,
     CoordinatorConfig,
     FallbackBackend,
@@ -236,7 +235,7 @@ class TestRemoteBackend:
         with RemoteCoordinator("127.0.0.1:0") as coordinator:
             procs = [
                 spawn_local_worker(coordinator.address)
-                for _ in range(MAX_REQUEUES + 2)
+                for _ in range(CoordinatorConfig().max_requeues + 2)
             ]
             try:
                 with pytest.raises(ExperimentError, match="killed"):
@@ -437,7 +436,7 @@ class TestCoordinatorConfig:
             monkeypatch.delenv(name, raising=False)
         config = CoordinatorConfig.from_env()
         assert config.task_deadline_s is None
-        assert config.max_requeues == MAX_REQUEUES
+        assert config.max_requeues == CoordinatorConfig().max_requeues
 
     def test_junk_or_nonpositive_deadline_disables_deadlines(
         self, monkeypatch

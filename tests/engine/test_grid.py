@@ -9,13 +9,8 @@ import os
 
 import pytest
 
-from repro.engine.grid import (
-    ExecutionPlan,
-    GridConfig,
-    GridRunner,
-    shared_process_pool,
-    shutdown_shared_pools,
-)
+from repro.engine.backends import shared_process_pool, shutdown_shared_pools
+from repro.engine.grid import ExecutionPlan, GridConfig, GridRunner
 from repro.errors import ExperimentError
 
 

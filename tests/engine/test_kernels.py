@@ -18,7 +18,7 @@ promise three ways:
   handshake availability map, and ``EngineConfig`` validation.
 
 Compiled-tier cases self-skip when no compiled tier loads here (no C
-compiler, no numba); the registry/degradation tests run everywhere.
+compiler); the registry/degradation tests run everywhere.
 """
 
 import socket
@@ -32,8 +32,10 @@ from repro.approx.pruning import PruningSpace
 from repro.circuits.batched import BatchedCircuitEvaluator
 from repro.circuits.synthesis import make_multiplier
 from repro.engine import kernels
+from repro.cli import main as cli_main
 from repro.engine.kernels import (
     AUTO_TIER,
+    KERNEL_TIER_ENV,
     NUMPY_TIER,
     KernelError,
     KernelImpl,
@@ -101,9 +103,7 @@ class TestRegistry:
         assert impl.lut_tile is None
 
     def test_names_in_descending_priority(self):
-        names = kernel_tier_names()
-        assert set(names) >= {NUMPY_TIER, "c", "numba"}
-        assert names[-1] == NUMPY_TIER  # priority 0 sorts last
+        assert kernel_tier_names() == ("c", NUMPY_TIER)
 
     def test_auto_resolves_highest_priority_available(self):
         resolved = resolve_kernel_tier(AUTO_TIER)
@@ -116,17 +116,28 @@ class TestRegistry:
         assert set(availability) == set(kernel_tier_names())
         assert availability[NUMPY_TIER] is True
 
-    def test_unknown_tier_rejected_everywhere(self):
-        with pytest.raises(ExperimentError):
-            validate_kernel_tier("bogus")
-        with pytest.raises(ExperimentError):
-            resolve_kernel_tier("bogus")
-        with pytest.raises(ExperimentError):
-            EngineConfig(kernel_tier="bogus")
-        with pytest.raises(ExperimentError):
-            BatchedCircuitEvaluator(
-                make_multiplier(2, 2), [], kernel_tier="bogus"
-            )
+    def test_unknown_tier_rejected_everywhere(self, monkeypatch, capsys):
+        # the second name is a tier this package used to ship: stale
+        # settings fail fast instead of silently degrading
+        for tier in ("bogus", "numba"):
+            with pytest.raises(ExperimentError):
+                validate_kernel_tier(tier)
+            with pytest.raises(ExperimentError):
+                resolve_kernel_tier(tier)
+            with pytest.raises(ExperimentError):
+                EngineConfig(kernel_tier=tier)
+            with pytest.raises(ExperimentError):
+                BatchedCircuitEvaluator(
+                    make_multiplier(2, 2), [], kernel_tier=tier
+                )
+            # the environment default fails the same way, and the CLI
+            # rejects the flag before any search starts
+            monkeypatch.setenv(KERNEL_TIER_ENV, tier)
+            with pytest.raises(ExperimentError):
+                resolve_kernel_tier()
+            monkeypatch.delenv(KERNEL_TIER_ENV)
+            assert cli_main(["library", "--fast", "--kernel-tier", tier]) == 1
+            assert "unknown kernel tier" in capsys.readouterr().err
 
     def test_none_and_auto_always_valid(self):
         validate_kernel_tier(None)

@@ -1,17 +1,15 @@
-"""Tests for the async task-graph engine (futures, sessions, graphs).
+"""Tests for the futures layer (task futures and engine sessions).
 
 Pins the submit/future API's determinism contract —
 ``session.map_shards(fn, shards)`` equals the serial reference for
 every backend — plus the properties that make the layer worth having:
-bounded backpressure, out-of-order streaming via ``as_completed``,
-persistent coordinator sessions serving *concurrent* jobs off one
-work-stealing queue (bit-identical to two serial runs), workers
-joining and leaving while futures are live, ack-then-close draining an
-in-flight result, and dependency-ordered :class:`TaskGraph` dispatch.
+bounded backpressure, persistent coordinator sessions serving
+*concurrent* jobs off one work-stealing queue (bit-identical to two
+serial runs), workers joining and leaving while futures are live, and
+ack-then-close draining an in-flight result.
 
-The consolidated :class:`GridRunner` surface rides along:
-``run(ExecutionPlan...)`` identity against the legacy shims, and the
-shims' :class:`DeprecationWarning`.
+The :class:`GridRunner` surface rides along: ``run(ExecutionPlan...)``
+identity against the reference.
 """
 
 import os
@@ -39,7 +37,6 @@ from repro.engine.taskgraph import (
     CoordinatorSession,
     EngineSession,
     TaskFuture,
-    TaskGraph,
 )
 from repro.errors import ExperimentError
 
@@ -189,18 +186,6 @@ class TestEngineSession:
         finally:
             gate.set()
             session.close()
-
-    def test_as_completed_streams_out_of_order(self):
-        with EngineSession(ThreadBackend(2)) as session:
-            slow = session.submit(
-                remote_cells.slow_square, [(2, 0.5)], label="slow"
-            )
-            fast = session.submit(
-                remote_cells.slow_square, [(3, 0.0)], label="fast"
-            )
-            order = [f.label for f in EngineSession.as_completed([slow, fast])]
-        assert order == ["fast", "slow"]
-        assert slow.result() == [4] and fast.result() == [9]
 
     def test_gather_preserves_submission_order(self):
         """Unequal per-shard delays cannot reorder gathered results."""
@@ -401,80 +386,6 @@ class TestAckThenClose:
             )
 
 
-class TestTaskGraph:
-    def test_dependency_chain_with_cells_from(self):
-        """A dependent node's cells are built from its deps' results."""
-        with EngineSession(ThreadBackend(2)) as session:
-            with TaskGraph(session) as graph:
-                first = graph.add(
-                    remote_cells.square_offset, cells=[(2, 0), (3, 0)]
-                )
-                second = graph.add(
-                    remote_cells.square_offset,
-                    after=[first],
-                    cells_from=lambda results: [
-                        (value, 1000) for value in results[0]
-                    ],
-                )
-            assert first.result(timeout=30) == [4, 9]
-            assert second.result(timeout=30) == [1016, 1081]
-
-    def test_failed_dependency_fails_dependents_without_running(self):
-        ran = []
-
-        def should_not_run(value):  # pragma: no cover - the regression
-            ran.append(value)
-            return value
-
-        with EngineSession(ThreadBackend(2)) as session:
-            with TaskGraph(session) as graph:
-                doomed = graph.add(remote_cells.raise_value_error, cells=[(1,)])
-                dependent = graph.add(
-                    should_not_run,
-                    after=[doomed],
-                    cells_from=lambda results: [(results[0][0],)],
-                )
-                independent = graph.add(
-                    remote_cells.square_offset, cells=[(5, 0)]
-                )
-            with pytest.raises(ValueError, match="deterministic"):
-                dependent.result(timeout=30)
-            assert independent.result(timeout=30) == [25]
-            assert ran == []
-
-    def test_overlap_independent_branches(self):
-        """Two chains over 2 workers overlap instead of barriering."""
-        start = time.monotonic()
-        with EngineSession(ThreadBackend(2)) as session:
-            with TaskGraph(session) as graph:
-                heads = [
-                    graph.add(remote_cells.slow_square, cells=[(value, 0.2)])
-                    for value in (2, 3)
-                ]
-                tails = [
-                    graph.add(
-                        remote_cells.slow_square,
-                        after=[head],
-                        cells_from=lambda results: [(results[0][0], 0.2)],
-                    )
-                    for head in heads
-                ]
-            assert [tail.result(timeout=30) for tail in tails] == [[16], [81]]
-        # serial would be 4 * 0.2s; two overlapped chains ~ 2 * 0.2s
-        assert time.monotonic() - start < 0.75
-
-    def test_add_validates_cells_arguments(self):
-        with EngineSession(SerialBackend()) as session:
-            with TaskGraph(session) as graph:
-                with pytest.raises(ExperimentError, match="exactly one"):
-                    graph.add(remote_cells.square_offset)
-                with pytest.raises(ExperimentError, match="requires"):
-                    graph.add(
-                        remote_cells.square_offset,
-                        cells_from=lambda results: [],
-                    )
-
-
 class TestExecutionPlan:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ExperimentError, match="cells.*batches"):
@@ -503,32 +414,6 @@ class TestExecutionPlan:
             remote_cells.square_batch, items, extra=(100,)
         )
         assert runner.run(plan) == remote_cells.square_batch(items, 100)
-
-    def test_map_shim_warns_and_delegates(self):
-        # the one pinned caller of the deprecated shim (hence the
-        # suppression): it exists to prove the shim still warns
-        runner = GridRunner(GridConfig(mode="serial"))
-        with pytest.warns(DeprecationWarning, match="for_cells"):
-            got = runner.map(remote_cells.square_offset, CELLS)  # repro: noqa[DEP001]
-        assert got == [v * v + 100 for v, _ in CELLS]
-
-    def test_map_batches_shim_warns_and_delegates(self):
-        runner = GridRunner(GridConfig(mode="serial"))
-        items = [value for value, _ in CELLS]
-        with pytest.warns(DeprecationWarning, match="for_batches"):
-            got = runner.map_batches(  # repro: noqa[DEP001]
-                remote_cells.square_batch, items, extra=(100,)
-            )
-        assert got == remote_cells.square_batch(items, 100)
-
-    def test_runner_session_over_resolved_backend(self):
-        runner = GridRunner(GridConfig(mode="thread", workers=2))
-        with runner.session(n_tasks=len(SHARDS)) as session:
-            assert (
-                session.map_shards(remote_cells.square_offset, SHARDS)
-                == EXPECTED
-            )
-
 
 def _run_overlap_runner(checkpoint_dir, resume=False, faults=None):
     env = dict(os.environ)
