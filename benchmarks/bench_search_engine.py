@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
-import sys
 import tempfile
 import time
 from typing import Dict, List
@@ -39,21 +37,12 @@ import numpy as np
 from repro.approx.library import build_library
 from repro.approx.nsga2 import fast_non_dominated_sort, pareto_front
 from repro.dataflow.performance import clear_performance_cache
-from repro.engine.backends import (
-    CoordinatorConfig,
-    RemoteCoordinator,
-    spawn_local_worker,
-)
 from repro.engine.checkpoint import CheckpointStore, checkpoint_fingerprint
 from repro.engine.population import EngineConfig, PopulationEvaluator
 from repro.engine.vectorized import fast_non_dominated_sort_np, pareto_front_np
 from repro.ga.chromosome import space_for_library
 from repro.ga.engine import GaConfig, GeneticAlgorithm
 from repro.ga.fitness import FitnessEvaluator
-
-#: This directory — workers need it on PYTHONPATH to resolve
-#: ``bench_cells`` cell functions pickled by reference.
-_HERE = os.path.dirname(os.path.abspath(__file__))
 
 #: (network, min FPS, max drop %, seed) — one GA-CDP problem each.
 PROBLEMS = [
@@ -166,87 +155,6 @@ def time_search(library, smoke: bool) -> List[Dict]:
     return rows
 
 
-def time_recovery_overhead(smoke: bool) -> Dict:
-    """Price the self-healing tax on the remote coordinator path.
-
-    Runs the same compute-weighted map workload (``bench_cells.
-    spin_probe``: milliseconds of CPU per cell, one small int back)
-    through a *plain* coordinator and through a *hardened* one
-    (per-task deadlines armed, every shard result journalled via
-    fsync) on the same two-worker local fleet.
-    ``recovery_overhead = hardened_s / plain_s - 1`` is the fraction of
-    remote wall-clock a run pays for crash recovery it hopefully never
-    needs.  Shards are sized like real search shards — tens of
-    milliseconds of compute, small results — so the per-shard costs
-    the hardening adds (deadline bookkeeping, journal fsync ~1 ms)
-    are priced against representative work; the gate catches a
-    regression that puts journal writes or deadline sweeps on a
-    per-cell hot path.
-    """
-    # deferred: bench_cells lives next to this script, off the normal
-    # import path (a separate module so its cells don't pickle as
-    # unresolvable ``__main__`` references in the workers)
-    if _HERE not in sys.path:
-        sys.path.insert(0, _HERE)
-    from bench_cells import spin_probe
-
-    cells_per_shard = 25
-    spins = 8_000 if smoke else 40_000
-    n_shards = 8
-    repeats = 2 if smoke else 5
-
-    def shard_batch(tag: int) -> List[List[tuple]]:
-        # every map gets *distinct* cells: identical cells would let the
-        # journalled coordinator replay instead of execute, and the
-        # "overhead" would come out negative
-        base = tag * n_shards * cells_per_shard
-        return [
-            [
-                (base + index * cells_per_shard + value, spins)
-                for value in range(cells_per_shard)
-            ]
-            for index in range(n_shards)
-        ]
-
-    def timed(config: CoordinatorConfig, tag_base: int) -> float:
-        with RemoteCoordinator("127.0.0.1:0", config=config) as coordinator:
-            workers = [
-                spawn_local_worker(coordinator.address, extra_path=[_HERE])
-                for _ in range(2)
-            ]
-            # warm the fleet (imports, first-connection costs)
-            coordinator.map_shards(spin_probe, shard_batch(tag_base))
-            start = time.perf_counter()
-            for repeat in range(repeats):
-                coordinator.map_shards(
-                    spin_probe, shard_batch(tag_base + 1 + repeat)
-                )
-            elapsed = time.perf_counter() - start
-        for worker in workers:
-            worker.wait(timeout=15)
-        return elapsed
-
-    plain_s = timed(CoordinatorConfig(poll_interval=0.05), tag_base=0)
-    with tempfile.TemporaryDirectory(prefix="bench-journal-") as journal_dir:
-        hardened_s = timed(
-            CoordinatorConfig(
-                poll_interval=0.05,
-                task_deadline_s=30.0,
-                journal_path=os.path.join(journal_dir, "coordinator.journal"),
-            ),
-            tag_base=repeats + 1,
-        )
-    return {
-        "shards": n_shards,
-        "cells_per_shard": cells_per_shard,
-        "spins": spins,
-        "repeats": repeats,
-        "plain_s": round(plain_s, 4),
-        "hardened_s": round(hardened_s, 4),
-        "recovery_overhead": round(hardened_s / plain_s - 1, 4),
-    }
-
-
 def time_nsga2_ops(n_points: int = 256, trials: int = 20) -> Dict:
     """Microbenchmark of the vectorized NSGA-II internals."""
     rng = np.random.default_rng(0)
@@ -304,7 +212,6 @@ def main() -> int:
 
     searches = time_search(library, smoke=args.smoke)
     ops = time_nsga2_ops()
-    recovery = time_recovery_overhead(smoke=args.smoke)
 
     speedups = [row["speedup"] for row in searches]
     overheads = [row["checkpoint_overhead"] for row in searches]
@@ -317,10 +224,8 @@ def main() -> int:
         "library_size": len(library),
         "ga_searches": searches,
         "nsga2_ops": ops,
-        "remote_recovery": recovery,
         "min_speedup": min(speedups),
         "max_checkpoint_overhead": max(overheads),
-        "recovery_overhead": recovery["recovery_overhead"],
         "all_identical": all(row["identical"] for row in searches)
         and ops["identical"],
     }

@@ -35,14 +35,6 @@ notice* instead of failing — "nothing to compare" is a provisioning
 condition, not a perf regression.  Reports without the field, or
 benchmarks without a bar in per-benchmark form, are likewise skipped.
 
-Reports that price the self-healing remote fleet carry
-``recovery_overhead`` (relative slowdown of a hardened coordinator —
-per-task deadlines armed, results journalled — over a plain one on
-the same fleet and workload); pass ``--max-recovery-overhead`` to
-gate it.  Reports without the field are skipped by that gate.  Like
-the checkpoint gate, the bar is loose in CI smoke (short maps make
-the ratio noisy) and tight (0.10) in the nightly paper-scale run.
-
 The default speedup bar is deliberately loose (1.5x): smoke runs on
 shared CI runners see multi-x timer noise, so identity is enforced
 strictly and throughput only sanity-checked.  Nightly paper-scale runs
@@ -63,7 +55,6 @@ def check_report(
     min_speedup: float,
     max_checkpoint_overhead: Optional[float] = None,
     min_kernel_speedup=None,
-    max_recovery_overhead: Optional[float] = None,
 ) -> List[str]:
     """Validate one BENCH report; returns a list of failure messages."""
     failures: List[str] = []
@@ -136,22 +127,11 @@ def check_report(
                 f"({report.get('kernel_tier')})"
             )
 
-    recovery_overhead = report.get("recovery_overhead")
-    recovery_extra = ""
-    if max_recovery_overhead is not None and recovery_overhead is not None:
-        if recovery_overhead > max_recovery_overhead:
-            failures.append(
-                f"{name}: recovery_overhead {recovery_overhead} above the "
-                f"{max_recovery_overhead} gate"
-            )
-        else:
-            recovery_extra = f", recovery_overhead={recovery_overhead}"
-
     if not failures:
         extra = "" if overhead is None else f", checkpoint_overhead={overhead}"
         print(
             f"ok: {name} — identical=True, speedup={speedup}"
-            f"{extra}{kernel_extra}{recovery_extra}"
+            f"{extra}{kernel_extra}"
         )
     return failures
 
@@ -185,14 +165,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "when the report shows only the numpy tier was available, or "
         "carries no kernel_speedup field",
     )
-    parser.add_argument(
-        "--max-recovery-overhead", type=float, default=None,
-        metavar="FRACTION",
-        help="maximum acceptable self-healing coordinator overhead as a "
-        "fraction (e.g. 0.10 = 10%%, the nightly bar); off by "
-        "default, reports without the recovery_overhead field are "
-        "skipped",
-    )
     args = parser.parse_args(argv)
 
     min_kernel_speedup = None
@@ -219,7 +191,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args.min_speedup,
                 args.max_checkpoint_overhead,
                 min_kernel_speedup,
-                args.max_recovery_overhead,
             )
         )
     for failure in failures:

@@ -13,12 +13,11 @@ reference the property tests compare against.
 The accuracy stage is a full engine client: the stacked inference
 itself tiles across threads (the ``stack_workers`` knob), and a
 validator given a :class:`~repro.engine.grid.GridRunner` shards the
-uncached multipliers into contiguous *sub-stacks* dispatched through
-the :class:`~repro.engine.backends.ExecutorBackend` registry — the
-warm process pool or a remote worker fleet score a paper-scale library
-exactly like the GA grids, with results bit-identical to the
-in-process path (accuracy per multiplier is independent of the stack
-it rides in).
+uncached multipliers into contiguous *sub-stacks* dispatched over an
+:class:`~repro.engine.backends.ExecutorBackend` — the warm process pool
+scores a paper-scale library exactly like the GA grids, with results
+bit-identical to the in-process path (accuracy per multiplier is
+independent of the stack it rides in).
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ class BehavioralValidator:
             see :mod:`repro.engine.kernels`).
         runner: optional grid runner; when set, library-wide queries
             shard multiplier sub-stacks through its execution backend
-            (serial / thread / process / remote).  ``None`` keeps the
+            (serial / thread / process).  ``None`` keeps the
             single in-process stacked pass.
     """
 

@@ -35,9 +35,9 @@ Rule inventory
     durations is fine, recording wall-clock values as data is not.
 
 ``PKL001`` — backend-boundary picklability (error)
-    Callables handed to ``EngineSession.submit``/``map_shards`` or
+    Callables handed to an executor's ``submit``/``map_shards`` or
     ``ExecutionPlan.for_cells``/``for_batches`` cross a pickle
-    boundary under process/remote dispatch: lambdas are flagged
+    boundary under process dispatch: lambdas are flagged
     outright, and nested functions are flagged when they close over
     unpicklable state (locks, open files, sockets, connections).
 
@@ -63,17 +63,6 @@ Rule inventory
     flagged, and locally-defined kernel callables must match the
     reference arity (2/2/4).
 
-``TMO001`` — bounded blocking in engine code (error)
-    Scoped to modules under an ``engine/`` directory: ``.wait()``
-    calls must pass a timeout (bare ``Event.wait()`` /
-    ``Condition.wait()`` / ``proc.wait()`` are flagged),
-    ``socket.create_connection`` must pass a dial timeout, and
-    ``settimeout(None)`` — unbounded socket blocking — is flagged.
-    Unbounded blocking is how a hung peer becomes a hung fleet; the
-    self-healing layer (per-task deadlines, redial, deadline sweeps)
-    only works because every engine wait eventually returns.  A
-    deliberately unbounded wait carries a noqa with its reason.
-
 ``SUP001`` — suppression hygiene (error)
     Every suppression comment must name known rule codes.  A bare
     ``# repro: noqa`` or an unknown code is itself a finding, so the
@@ -92,10 +81,9 @@ Extending
 =========
 
 Register new rules through :func:`register_rule` — the registry
-mirrors :func:`repro.engine.backends.register_backend` /
-:func:`repro.engine.kernels.register_kernel_tier`, except duplicate
-codes *raise*: codes appear in ``noqa`` comments across the tree, so
-two rules sharing one would mute each other.
+mirrors :func:`repro.engine.kernels.register_kernel_tier`, except
+duplicate codes *raise*: codes appear in ``noqa`` comments across the
+tree, so two rules sharing one would mute each other.
 """
 
 from __future__ import annotations

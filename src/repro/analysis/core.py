@@ -7,7 +7,6 @@ not install numpy.  It provides:
 * :class:`Finding` — one diagnostic, machine-renderable
   (``--format json``) and human-renderable;
 * :func:`register_rule` — the rule registry, mirroring the
-  :func:`repro.engine.backends.register_backend` /
   :func:`repro.engine.kernels.register_kernel_tier` idiom: a rule is a
   ``(code, checker, severity)`` triple, duplicate codes raise, unknown
   severities are rejected;
@@ -208,7 +207,7 @@ def register_rule(
 ) -> None:
     """Register an invariant rule under a stable code.
 
-    Mirrors ``register_backend``/``register_kernel_tier`` — except that
+    Mirrors ``register_kernel_tier`` — except that
     re-registering an existing code *raises* instead of replacing:
     rule codes appear in ``noqa`` suppressions across the tree, so two
     rules silently sharing a code would make every suppression of one

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import ast
 import re
-from pathlib import PurePath
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.core import (
@@ -143,8 +142,8 @@ def check_nondeterminism(context: AnalysisContext) -> Iterator[Finding]:
 # --------------------------------------------------------------------------
 
 #: ``fn``-first call sites that hand the callable to an executor
-#: backend (process pool / remote coordinator pickles it).
-_BOUNDARY_METHODS = {"submit", "map_shards", "submit_single"}
+#: backend (the process pool pickles it).
+_BOUNDARY_METHODS = {"submit", "map_shards"}
 _BOUNDARY_CLASSMETHODS = {"for_cells", "for_batches"}
 
 #: Constructors whose instances never pickle; capturing one in a
@@ -219,7 +218,7 @@ def check_boundary_picklability(context: AnalysisContext) -> Iterator[Finding]:
                     "PKL001",
                     call.lineno,
                     "a lambda handed to a backend boundary cannot be "
-                    "pickled for process/remote dispatch; pass a "
+                    "pickled for process dispatch; pass a "
                     "module-level function (cells are documented as "
                     "module-level callables)",
                 )
@@ -477,80 +476,6 @@ def check_kernel_parity(context: AnalysisContext) -> Iterator[Finding]:
 
 
 # --------------------------------------------------------------------------
-# TMO001 — bounded blocking in engine code: every wait has a timeout.
-# --------------------------------------------------------------------------
-
-#: Socket constructors that accept (and should get) a dial timeout.
-_DIAL_CALLS = {"socket.create_connection"}
-
-
-def _in_engine_scope(info: ModuleInfo) -> bool:
-    """True for modules under an ``engine`` directory.
-
-    The engine is the layer where a hung call becomes a hung fleet —
-    a worker blocked on a dead coordinator, a session blocked on a
-    lost notify.  Everywhere else, unbounded waits are ordinary.
-    """
-    return "engine" in PurePath(info.path).parts
-
-
-def check_bounded_blocking(context: AnalysisContext) -> Iterator[Finding]:
-    for info in context.modules:
-        if not _in_engine_scope(info):
-            continue
-        aliases = import_aliases(info.tree)
-        for node in ast.walk(info.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "wait"
-                and not node.args
-                and not any(k.arg == "timeout" for k in node.keywords)
-            ):
-                yield info.finding(
-                    "TMO001",
-                    node.lineno,
-                    ".wait() without a timeout blocks forever on a "
-                    "lost notify or a dead peer — a hung worker "
-                    "becomes a hung engine; pass a timeout and "
-                    "re-check the predicate in a loop (or annotate a "
-                    "deliberately unbounded wait with a noqa)",
-                )
-                continue
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "settimeout"
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value is None
-            ):
-                yield info.finding(
-                    "TMO001",
-                    node.lineno,
-                    "settimeout(None) switches the socket to unbounded "
-                    "blocking; keep a finite timeout (or annotate the "
-                    "deliberate exception with a noqa explaining why "
-                    "this socket may block forever)",
-                )
-                continue
-            dotted = dotted_name(func, aliases)
-            if dotted in _DIAL_CALLS:
-                if len(node.args) < 2 and not any(
-                    k.arg == "timeout" for k in node.keywords
-                ):
-                    yield info.finding(
-                        "TMO001",
-                        node.lineno,
-                        f"{dotted}() without a timeout can hang the "
-                        "dial indefinitely on a black-holed address; "
-                        "pass timeout= so a dead coordinator costs one "
-                        "bounded attempt, not the whole worker",
-                    )
-
-
-# --------------------------------------------------------------------------
 # SUP001 — suppression hygiene.
 # --------------------------------------------------------------------------
 
@@ -562,7 +487,7 @@ def check_suppression_hygiene(context: AnalysisContext) -> Iterator[Finding]:
 
 
 # --------------------------------------------------------------------------
-# Registration (import side effect, mirroring the backend registries).
+# Registration (import side effect, mirroring the kernel-tier registry).
 # --------------------------------------------------------------------------
 
 _BUILTIN_RULES: Sequence[Tuple[str, object, str, str]] = (
@@ -600,13 +525,6 @@ _BUILTIN_RULES: Sequence[Tuple[str, object, str, str]] = (
         "error",
         "every compiled kernel tier implements the full kernel set "
         "with reference signatures",
-    ),
-    (
-        "TMO001",
-        check_bounded_blocking,
-        "error",
-        "engine/ code never blocks unboundedly: .wait() calls, dials, "
-        "and socket modes all carry explicit timeouts",
     ),
     (
         "SUP001",

@@ -32,11 +32,7 @@ from repro.approx.precision import truncate_inputs
 from repro.approx.pruning import BatchedPruningObjectives, PruningSpace
 from repro.circuits.area import netlist_area_um2, netlist_delay_ps, netlist_ge
 from repro.circuits.synthesis import ArithmeticCircuit, make_multiplier
-from repro.engine.backends import (
-    ThreadBackend,
-    in_pool_worker,
-    register_pool_context_provider,
-)
+from repro.engine.backends import ThreadBackend, register_pool_context_provider
 from repro.engine.checkpoint import (
     CheckpointStore,
     checkpoint_fingerprint,
@@ -44,7 +40,6 @@ from repro.engine.checkpoint import (
 )
 from repro.engine.diskcache import FitnessDiskCache, context_fingerprint
 from repro.engine.population import EngineConfig
-from repro.engine.taskgraph import EngineSession
 from repro.engine.vectorized import pareto_front_np
 from repro.errors import OptimizationError
 
@@ -286,7 +281,7 @@ def _pruning_pareto(
         if workers > 1:
             # oversized populations shard across the thread backend;
             # the evaluator closes over live circuit state, so the
-            # process/remote strategies do not apply here
+            # process backend does not apply here
             backend = ThreadBackend(workers)
             # floor of 8: splitting below that trades away the batch
             # amortisation the engine exists for (a 64-core runner must
@@ -391,7 +386,6 @@ def build_library(
     cache_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    overlap_session: Optional[EngineSession] = None,
 ) -> ApproxLibrary:
     """Run the full step-1 flow and return the Pareto library.
 
@@ -418,12 +412,8 @@ def build_library(
             the reference path out per genome.  ``process`` is
             downgraded to ``thread``: the pruning evaluator closes
             over live circuit state that cannot cross a process
-            boundary.  With more than one worker the search-free
-            precision/structural variants are additionally scored on a
-            concurrent :class:`~repro.engine.taskgraph.EngineSession`
-            *overlapping* the NSGA-II searches; their futures are
-            gathered in submission order, so the library stays
-            bit-identical to the serial build.
+            boundary.  The search-free precision/structural variants
+            are scored inline, before the searches, in every mode.
         cache_dir: optional directory for the on-disk objective cache,
             so rebuilding the same library in a fresh process (or a
             forked grid worker) skips re-simulating pruned circuits.
@@ -437,13 +427,6 @@ def build_library(
             slots; the finished library is bit-identical to an
             uninterrupted build (mismatched settings refuse with
             :class:`~repro.errors.CheckpointError`).
-        overlap_session: caller-owned
-            :class:`~repro.engine.taskgraph.EngineSession` to score the
-            search-free variants on (e.g. a ``CoordinatorSession`` over
-            a remote fleet — the variant cells are pure and picklable).
-            Overrides the engine-derived thread session; the caller
-            keeps ownership and closes it.  Futures are still gathered
-            in submission order, so the library stays bit-identical.
     """
     key = (
         width, kind, seed, population, generations, max_candidates,
@@ -470,11 +453,8 @@ def build_library(
     ]
 
     # the search-free variants (precision truncations + structural
-    # cuts) are independent of the pruning searches, so their scoring
-    # can overlap the NSGA-II runs: build the specs now, dispatch them
-    # as futures, gather *in submission order* right before assembling
-    # the library — the entries list (and with it `_pareto_entries`'s
-    # insertion-order dedup) is bit-identical to the serial build
+    # cuts) go after exact and before the search entries: the order
+    # feeds `_pareto_entries`'s insertion-order dedup
     variant_specs: List[Tuple[str, Any, str]] = []
     for trunc_a, trunc_b in truncations:
         variant_specs.append(
@@ -503,69 +483,31 @@ def build_library(
                 (f"loa{cut}", loa_multiplier(width, cut), "structural")
             )
 
-    overlap_workers = 0
-    if (
-        variant_specs
-        and engine is not None
-        and engine.mode != "serial"
-        and engine.resolved_workers() > 1
-        and not in_pool_worker()
-    ):
-        overlap_workers = min(engine.resolved_workers(), len(variant_specs))
+    entries.extend(
+        _make_entry(name, circuit, origin, width, dnn_weights)
+        for name, circuit, origin in variant_specs
+    )
 
-    session: Optional[EngineSession] = None
-    owns_session = False
-    variant_futures: List[Any] = []
-    if variant_specs and overlap_session is not None:
-        session = overlap_session
-    elif overlap_workers > 1:
-        session = EngineSession(ThreadBackend(overlap_workers))
-        owns_session = True
-    if session is not None:
-        variant_futures = [
-            session.submit(
-                _make_entry, [(name, circuit, origin, width, dnn_weights)]
-            )
-            for name, circuit, origin in variant_specs
-        ]
-    else:
-        entries.extend(
-            _make_entry(name, circuit, origin, width, dnn_weights)
-            for name, circuit, origin in variant_specs
+    entries.extend(
+        _pruning_pareto(
+            exact_circuit, width, dnn_weights, "pruned",
+            seed, population, generations, max_candidates,
+            kind=kind, engine=engine, cache_dir=cache_dir,
+            checkpoint_dir=checkpoint_dir, resume=resume,
         )
+    )
 
-    try:
-        search_entries = list(
+    if hybrid:
+        light_truncated = truncate_inputs(exact_circuit, 1, 1)
+        entries.extend(
             _pruning_pareto(
-                exact_circuit, width, dnn_weights, "pruned",
-                seed, population, generations, max_candidates,
+                light_truncated, width, dnn_weights, "hybrid",
+                seed + 1, max(population // 2, 8),
+                max(generations // 2, 6), max_candidates,
                 kind=kind, engine=engine, cache_dir=cache_dir,
                 checkpoint_dir=checkpoint_dir, resume=resume,
             )
         )
-
-        if hybrid:
-            light_truncated = truncate_inputs(exact_circuit, 1, 1)
-            search_entries.extend(
-                _pruning_pareto(
-                    light_truncated, width, dnn_weights, "hybrid",
-                    seed + 1, max(population // 2, 8),
-                    max(generations // 2, 6), max_candidates,
-                    kind=kind, engine=engine, cache_dir=cache_dir,
-                    checkpoint_dir=checkpoint_dir, resume=resume,
-                )
-            )
-
-        if session is not None:
-            # splice the overlapped variants back into their serial
-            # position (after exact, before the search entries)
-            entries.extend(
-                future.result()[0] for future in variant_futures
-            )
-    finally:
-        if session is not None and owns_session:
-            session.close()
-    entries.extend(search_entries)
 
     library = ApproxLibrary(_pareto_entries(entries), width)
     if use_cache:

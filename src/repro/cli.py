@@ -14,29 +14,16 @@ Exposes the headline flows without writing Python::
 ``--fast`` shrinks every search for smoke runs; omit it for the
 paper-scale settings (``DEFAULT_SETTINGS`` in
 :mod:`repro.experiments.common`).  The experiment commands accept
-``--grid-mode {auto,serial,thread,process,remote}``, ``--grid-workers``
-and ``--shards`` to control which execution backend runs the harness's
+``--grid-mode {auto,serial,thread,process}``, ``--grid-workers`` and
+``--shards`` to control which execution backend runs the harness's
 cells and how they are sharded (every backend prints identical
-results).  ``--kernel-tier {auto,numpy,c}`` picks the compiled-kernel
-tier for the batched hot loops (every tier prints identical results).
+results)::
 
-Multi-node runs use the ``remote`` backend: the harness process becomes
-a TCP coordinator and worker daemons pull cells from it::
+    python -m repro pareto-sweep --fast --grid-mode process \
+        --grid-workers 2 --shards 2
 
-    # single machine, 2 locally spawned worker daemons
-    python -m repro pareto-sweep --fast --grid-mode remote \
-        --coordinator 127.0.0.1:0 --grid-workers 2
-
-    # multi-node: bind a routable address, spawn no local workers ...
-    python -m repro fig3 --grid-mode remote \
-        --coordinator 0.0.0.0:7777 --grid-workers 0
-
-    # ... and attach workers from any machine that shares the code
-    python -m repro.engine.worker --connect COORDINATOR_HOST:7777
-
-Workers may join mid-run; a worker that dies mid-cell has its cell
-reassigned.  Results are bit-identical to ``--grid-mode serial`` in
-every case.
+``--kernel-tier {auto,numpy,c}`` picks the compiled-kernel tier for the
+batched hot loops (every tier prints identical results).
 
 The ``accuracy`` command runs the behavioural accuracy study (measured
 drop per library multiplier plus the analytical-vs-behavioural rank
@@ -44,8 +31,7 @@ agreement) and exposes the accuracy-stage execution knobs:
 ``--stack-workers`` tiles the stacked LUT inference across threads, and
 ``--accuracy-mode/--accuracy-workers/--accuracy-shards`` shard the
 library into multiplier sub-stacks dispatched over the same execution
-backends as the grids (``remote`` via ``--coordinator``).  Every
-combination prints bit-identical drops.
+backends as the grids.  Every combination prints bit-identical drops.
 """
 
 from __future__ import annotations
@@ -68,8 +54,8 @@ def _settings(args: argparse.Namespace):
 
         from repro.engine.kernels import KERNEL_TIER_ENV
 
-        # validated by replace() via __post_init__; exported so spawned
-        # pool/remote workers inherit the same tier
+        # validated by replace() via __post_init__; exported so pool
+        # workers inherit the same tier
         settings = replace(settings, kernel_tier=args.kernel_tier)
         os.environ[KERNEL_TIER_ENV] = args.kernel_tier
     checkpoint_overrides = {}
@@ -88,8 +74,6 @@ def _settings(args: argparse.Namespace):
         grid_overrides["grid_workers"] = args.grid_workers
     if getattr(args, "shards", None) is not None:
         grid_overrides["grid_shards"] = args.shards
-    if getattr(args, "coordinator", None) is not None:
-        grid_overrides["grid_coordinator"] = args.coordinator
     accuracy_overrides = {}
     if getattr(args, "stack_workers", None) is not None:
         accuracy_overrides["stack_workers"] = args.stack_workers
@@ -99,15 +83,11 @@ def _settings(args: argparse.Namespace):
         accuracy_overrides["accuracy_workers"] = args.accuracy_workers
     if getattr(args, "accuracy_shards", None) is not None:
         accuracy_overrides["accuracy_shards"] = args.accuracy_shards
-    if getattr(args, "accuracy_coordinator", None) is not None:
-        accuracy_overrides["accuracy_coordinator"] = args.accuracy_coordinator
-    if getattr(args, "task_deadline", None) is not None:
-        grid_overrides["task_deadline_s"] = args.task_deadline
     if grid_overrides or accuracy_overrides:
         settings = replace(settings, **grid_overrides, **accuracy_overrides)
-        # surface invalid options (e.g. --coordinator without
-        # --grid-mode remote) now, not after the minutes-long library
-        # build that every harness runs first
+        # surface invalid options (e.g. --grid-workers 0) now, not
+        # after the minutes-long library build that every harness runs
+        # first
         if grid_overrides:
             settings.grid_runner()
         if accuracy_overrides:
@@ -343,17 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
             "auto = fastest available; every tier is bit-identical, "
             "and an unavailable tier degrades to numpy with a warning)",
         )
-        p.add_argument(
-            "--task-deadline", type=float, default=None, metavar="SECONDS",
-            help="per-task deadline for the remote modes: a shard "
-            "unacked past this is revoked from its (presumably hung) "
-            "worker and requeued, the late result discarded "
-            "(default: $REPRO_TASK_DEADLINE_S or wait forever)",
-        )
         if json_out:
             p.add_argument("--json", default=None, help="write results JSON")
         if accuracy_opts:
-            from repro.engine.grid import grid_modes
+            from repro.engine.grid import GRID_MODES
 
             p.add_argument(
                 "--stack-workers", type=int, default=None, metavar="N",
@@ -363,54 +336,38 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--accuracy-mode", default=None,
-                choices=list(grid_modes()),
+                choices=list(GRID_MODES),
                 help="execution backend that scores the multiplier "
                 "library as sharded sub-stacks (drops identical for "
                 "every choice)",
             )
             p.add_argument(
                 "--accuracy-workers", type=int, default=None,
-                help="worker count for the sharded accuracy modes; "
-                "with --accuracy-mode remote, the number of locally "
-                "spawned worker daemons (0 = external workers only)",
+                help="worker count for the sharded accuracy modes "
+                "(default: CPU count)",
             )
             p.add_argument(
                 "--accuracy-shards", type=int, default=None,
                 help="multiplier sub-stack count override "
                 "(default: one per worker)",
             )
-            p.add_argument(
-                "--coordinator", dest="accuracy_coordinator",
-                default=None, metavar="HOST:PORT",
-                help="remote accuracy-mode bind address (default "
-                "127.0.0.1:0); attach workers with 'python -m "
-                "repro.engine.worker --connect HOST:PORT'",
-            )
         if grid_opts:
-            from repro.engine.grid import grid_modes
+            from repro.engine.grid import GRID_MODES
 
             p.add_argument(
                 "--grid-mode", default=None,
-                choices=list(grid_modes()),
+                choices=list(GRID_MODES),
                 help="execution backend for the experiment cells "
                 "(results identical for every choice)",
             )
             p.add_argument(
                 "--grid-workers", type=int, default=None,
-                help="worker count for the sharded grid modes; with "
-                "--grid-mode remote, the number of locally spawned "
-                "worker daemons (0 = external workers only)",
+                help="worker count for the sharded grid modes "
+                "(default: CPU count)",
             )
             p.add_argument(
                 "--shards", type=int, default=None,
-                help="shard count override (default: one per worker, "
-                "or one per cell in remote mode)",
-            )
-            p.add_argument(
-                "--coordinator", default=None, metavar="HOST:PORT",
-                help="remote-mode bind address (default 127.0.0.1:0); "
-                "bind a routable host and attach workers with "
-                "'python -m repro.engine.worker --connect HOST:PORT'",
+                help="shard count override (default: one per worker)",
             )
 
     p = sub.add_parser("library", help="print the step-1 multiplier library")

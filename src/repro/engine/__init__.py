@@ -19,35 +19,24 @@ that make the searches fast without changing a single result:
 * :mod:`repro.engine.diskcache` — :class:`FitnessDiskCache`: opt-in
   on-disk memoisation keyed by a hash of (genome, network, node,
   constraints, grid) so repeated experiment runs warm-start;
-* :mod:`repro.engine.backends` — the pluggable dispatch layer:
-  :class:`ExecutorBackend` implementations (``serial`` / ``thread`` /
-  the persistent warm ``process`` pool — context-fingerprinted so a
-  library-settings change reforks stale workers — / the TCP
-  ``remote`` coordinator) shared by the grid runner, the population
-  evaluator, and the behavioural accuracy stage
+* :mod:`repro.engine.backends` — the dispatch layer: the ``serial``,
+  ``thread`` and persistent warm ``process`` backends (the pool is
+  context-fingerprinted, so a library-settings change reforks stale
+  workers) shared by the grid runner, the population evaluator, and
+  the behavioural accuracy stage
   (:meth:`repro.accuracy.behavioral.BehavioralValidator.drop_percents`
-  shards multiplier sub-stacks over them), plus the registry that
-  makes new strategies one-file additions;
-* :mod:`repro.engine.worker` — the remote worker daemon
-  (``python -m repro.engine.worker --connect HOST:PORT``) that pulls
-  pickled cell shards from a coordinator and streams results back;
-* :mod:`repro.engine.taskgraph` — the futures layer:
-  :class:`EngineSession` (``submit(fn, cells) -> TaskFuture`` with
-  bounded backpressure over any backend) and :class:`CoordinatorSession`
-  (a persistent remote session whose worker fleet outlives individual
-  jobs; concurrent jobs work-steal from one shared queue);
+  shards multiplier sub-stacks over them);
 * :mod:`repro.engine.grid` — :class:`GridRunner`: experiment cells
   sharded across the configured backend with deterministically ordered
-  results regardless of shard count, worker count, or worker failures;
-  ``run(plan)`` over an :class:`ExecutionPlan` is the one execution
-  entry point;
+  results regardless of shard count or worker count; ``run(plan)`` over
+  an :class:`ExecutionPlan` is the one execution entry point;
 * :mod:`repro.engine.checkpoint` — :class:`CheckpointStore`:
   versioned, atomically-replaced per-generation search snapshots
   (population, objectives, exact RNG state) behind a settings
   fingerprint, so killed searches resume bit-identically and
   mismatched-settings resumes refuse loudly;
 * :mod:`repro.engine.faults` — deterministic fault injection
-  (``REPRO_FAULTS=kill@gen:N`` and friends) driving the chaos tests
+  (``REPRO_FAULTS=kill@gen:N``) driving the SIGKILL-and-resume tests
   and the ``chaos`` CI job.
 
 Every fast path keeps its serial counterpart in-tree as the reference
@@ -60,48 +49,26 @@ Static invariants
 The contracts this package lives by — seeded RNG only, no wall-clock
 or other nondeterministic inputs on engine paths, picklable callables
 at backend boundaries, complete settings fingerprints on checkpointed
-configs, all-or-none kernel-tier registrations, bounded waits in engine
-code — are enforced by an AST checker,
-:mod:`repro.analysis` (``python -m repro.analysis src benchmarks`` or
-``repro lint-invariants``), which CI runs as a required job.  Rule
-codes: RNG001, NDT001, PKL001, FPR001, KRN001, TMO001, SUP001; a
+configs, all-or-none kernel-tier registrations — are enforced by an
+AST checker, :mod:`repro.analysis` (``python -m repro.analysis src
+benchmarks`` or ``repro lint-invariants``), which CI runs as a required
+job.  Rule codes: RNG001, NDT001, PKL001, FPR001, KRN001, SUP001; a
 finding is silenced with a trailing ``# repro: noqa[CODE]`` whose code
 must name a registered rule.  See the "Static invariants" section of
 ``PERF.md`` for the full inventory and the fingerprint-declaration
 syntax (``# repro: fingerprinted[DECL]`` /
 ``# repro: non-trajectory[reason]``).
-
-Determinism through the futures layer
--------------------------------------
-
-``ExecutorBackend.map_shards`` is the determinism contract every
-backend is tested against; ``EngineSession.submit`` resolves each
-shard's future with exactly ``run_shard(fn, cells)``, gathered in
-submission order, so the future path inherits the same bit-identical
-guarantee.
 """
 
 from repro.engine.backends import (
-    PROTOCOL_VERSION,
-    CoordinatorConfig,
     ExecutorBackend,
-    FallbackBackend,
     ProcessBackend,
-    RemoteBackend,
-    RemoteCoordinator,
-    RemoteRunError,
     SerialBackend,
     ThreadBackend,
-    backend_names,
-    create_backend,
     current_pool_context,
-    register_backend,
     register_pool_context_provider,
     shared_process_pool,
-    shared_remote_backend,
-    shutdown_remote_backends,
     shutdown_shared_pools,
-    spawn_local_worker,
 )
 from repro.engine.batch import BatchNetworkEvaluator
 from repro.engine.checkpoint import (
@@ -112,14 +79,9 @@ from repro.engine.checkpoint import (
     restore_rng_state,
 )
 from repro.engine.diskcache import FitnessDiskCache
-from repro.engine.faults import FaultInjector, InjectedDrop, parse_faults
+from repro.engine.faults import FaultInjector, parse_faults
 from repro.engine.grid import ExecutionPlan, GridConfig, GridRunner
 from repro.engine.population import EngineConfig, PopulationEvaluator
-from repro.engine.taskgraph import (
-    CoordinatorSession,
-    EngineSession,
-    TaskFuture,
-)
 from repro.engine.vectorized import (
     crowding_distance_np,
     dominance_matrix,
@@ -132,38 +94,22 @@ __all__ = [
     "BatchNetworkEvaluator",
     "Checkpoint",
     "CheckpointStore",
-    "CoordinatorConfig",
-    "CoordinatorSession",
-    "EngineSession",
     "ExecutionPlan",
-    "TaskFuture",
     "FaultInjector",
-    "FallbackBackend",
     "FitnessDiskCache",
     "GridConfig",
     "GridRunner",
-    "InjectedDrop",
-    "PROTOCOL_VERSION",
     "ExecutorBackend",
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "RemoteBackend",
-    "RemoteCoordinator",
-    "RemoteRunError",
     "capture_rng_state",
     "checkpoint_fingerprint",
     "parse_faults",
     "restore_rng_state",
-    "backend_names",
-    "create_backend",
     "current_pool_context",
-    "register_backend",
     "register_pool_context_provider",
-    "spawn_local_worker",
     "shared_process_pool",
-    "shared_remote_backend",
-    "shutdown_remote_backends",
     "shutdown_shared_pools",
     "EngineConfig",
     "PopulationEvaluator",

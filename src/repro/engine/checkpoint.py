@@ -30,13 +30,11 @@ same way; a *corrupt* checkpoint file (disk damage — a torn write is
 impossible by construction) is quarantined with a warning and the
 search restarts from scratch, trading time, never correctness.
 
-Interaction with the async engine: a generation's checkpoint is saved
-only after every future that generation submitted through
-:class:`repro.engine.taskgraph.EngineSession` has resolved — the
-searches gather all shard futures before calling
-:meth:`CheckpointStore.save` — so overlap between generations (eval of
-``g+1`` streaming while ``g``'s accuracy settles) never lets a
-snapshot describe work still in flight.
+Interaction with the engine: a generation's checkpoint is saved only
+after :class:`~repro.engine.population.PopulationEvaluator` has
+returned every result of that generation — backend ``map_shards`` calls
+block until all shards are back — so a snapshot never describes work
+still in flight.
 """
 
 from __future__ import annotations

@@ -1,46 +1,29 @@
-"""Deterministic fault injection for chaos tests and the chaos CI job.
+"""Deterministic fault injection for the crash/resume tests and CI job.
 
 Crash-safety claims are only as good as the crashes they were tested
-against, so the injectors here are *deterministic*: a fault spec names
-an exact protocol event (or checkpoint generation) at which to strike,
-and a seeded spec resolves to one concrete event before the run starts.
-The same specs drive the unit tests, the kill-at-every-protocol-state
-sweep, and the ``chaos`` CI job — a failure reproduces locally by
-exporting the same :data:`FAULTS_ENV` string.
+against, so the injector here is *deterministic*: a fault spec names
+the exact checkpoint generation at which to strike, and a seeded spec
+resolves to one concrete generation before the run starts.  The same
+specs drive the unit tests, the SIGKILL-and-resume suite and the
+``chaos`` CI job — a failure reproduces locally by exporting the same
+:data:`FAULTS_ENV` string.
 
 Faults are configured through the environment (``REPRO_FAULTS``) so
-they can be scoped to exactly one process: a spawned worker daemon, or
-a ``build_library`` subprocess that must die mid-search.  The injector
-is consulted only from explicit hook points — the worker daemon's
-protocol loop (:mod:`repro.engine.worker`) and the checkpoint store's
-post-save hook (:mod:`repro.engine.checkpoint`) — so production runs
-without the variable never pay for it.
+they can be scoped to exactly one process: a ``build_library`` or CLI
+subprocess that must die mid-search.  The injector is consulted only
+from the checkpoint store's post-save hook
+(:mod:`repro.engine.checkpoint`), so production runs without the
+variable never pay for it.
 
 Spec grammar (comma-separated)::
 
-    KIND@POINT:ARG[,KIND@POINT:ARG...]
+    kill@gen:N[,kill@gen:M...]
 
-    kill@shard:N     SIGKILL the worker when it receives shard N
-    kill@recv:N      SIGKILL the worker at its Nth protocol message
     kill@gen:N       SIGKILL the process after checkpoint N is written
-    drop@shard:N     close the coordinator connection at shard N
-    drop@recv:N      close the connection at the Nth protocol message
-    slow@task:S      sleep S seconds before executing every task
-    hang@task:N      hang forever executing the worker's Nth task
-    corrupt@recv:N   reply with a garbage frame at the Nth message
-    coordkill@gen:N  SIGKILL the process after checkpoint N, but only
-                     if it hosts a live in-process coordinator
 
 ``N`` may be a literal integer or ``rand:SEED:HI`` — a seeded uniform
 draw from ``[0, HI)`` resolved once at parse time, so "kill at a random
 generation" is reproducible from the seed alone.
-
-``hang`` exercises the per-task deadline path: the coordinator must
-revoke and requeue the shard instead of waiting forever.  ``corrupt``
-exercises the framing layer: the coordinator must treat an unpicklable
-payload as a dead worker.  ``coordkill`` scopes a ``kill@gen`` strike
-to the coordinator-hosting process, so one ``REPRO_FAULTS`` value can
-be inherited by spawned workers without also killing them.
 """
 
 from __future__ import annotations
@@ -57,31 +40,8 @@ from repro.errors import ExperimentError
 #: Environment variable carrying the fault spec for one process.
 FAULTS_ENV = "REPRO_FAULTS"
 
-_KINDS = ("kill", "drop", "slow", "hang", "corrupt", "coordkill")
-_POINTS = ("shard", "recv", "gen", "task")
-
-#: (kind, required point) pairs for the kinds that only make sense at
-#: one hook — parse-time validation keeps chaos specs honest.
-_KIND_POINTS = {"hang": "task", "corrupt": "recv", "coordkill": "gen"}
-
-
-class InjectedDrop(Exception):
-    """Raised by the injector to make a worker drop its connection.
-
-    The worker daemon treats it like a vanished coordinator: close the
-    socket and exit cleanly.  Coordinator-side this is indistinguishable
-    from a worker crash — the held shard is requeued.
-    """
-
-
-class InjectedCorrupt(Exception):
-    """Raised by the injector to make a worker emit a garbage frame.
-
-    The worker daemon sends a correctly length-prefixed but unpicklable
-    payload and drops the connection, so the coordinator's framing
-    layer — not the worker — must contain the damage (requeue the held
-    shard, keep serving the rest of the fleet).
-    """
+_KINDS = ("kill",)
+_POINTS = ("gen",)
 
 
 def _resolve_ordinal(text: str) -> float:
@@ -109,11 +69,7 @@ def _resolve_ordinal(text: str) -> float:
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One resolved fault: ``kind`` strikes at ``point`` event ``at``.
-
-    ``at`` is an event ordinal for ``kill``/``drop`` faults and a sleep
-    duration in seconds for ``slow`` faults.
-    """
+    """One resolved fault: ``kind`` strikes at ``point`` event ``at``."""
 
     kind: str
     point: str
@@ -128,14 +84,7 @@ class FaultSpec:
             raise ExperimentError(
                 f"unknown fault point {self.point!r}; expected one of {_POINTS}"
             )
-        if self.kind == "slow" and self.point != "task":
-            raise ExperimentError("slow faults only support the 'task' point")
-        required = _KIND_POINTS.get(self.kind)
-        if required is not None and self.point != required:
-            raise ExperimentError(
-                f"{self.kind} faults only support the {required!r} point"
-            )
-        if self.kind != "slow" and self.at != int(self.at):
+        if self.at != int(self.at):
             raise ExperimentError(
                 f"{self.kind} faults need an integer event ordinal, got {self.at}"
             )
@@ -158,19 +107,6 @@ def parse_faults(spec: str) -> Tuple[FaultSpec, ...]:
     return tuple(faults)
 
 
-def _coordinator_alive() -> bool:
-    """True when this process hosts at least one open coordinator.
-
-    Imported lazily so the injector stays importable from worker
-    processes that never load the backends module.
-    """
-    try:
-        from repro.engine.backends import live_coordinator_count
-    except ImportError:  # pragma: no cover - circular-import guard
-        return False
-    return live_coordinator_count() > 0
-
-
 def _sigkill_self() -> None:  # pragma: no cover - the process dies here
     """A genuine SIGKILL: no atexit, no finally blocks, no flushing."""
     os.kill(os.getpid(), signal.SIGKILL)
@@ -181,16 +117,14 @@ def _sigkill_self() -> None:  # pragma: no cover - the process dies here
 
 
 class FaultInjector:
-    """Consults resolved fault specs at the engine's hook points.
+    """Consults resolved fault specs at the checkpoint hook.
 
-    Stateless apart from per-point event counters, so one injector
-    serves a whole worker lifetime.  An injector built from an empty
-    spec is inert and free.
+    Stateless, so one injector serves a whole process lifetime.  An
+    injector built from an empty spec is inert and free.
     """
 
     def __init__(self, faults: Tuple[FaultSpec, ...] = ()):
         self.faults = tuple(faults)
-        self._counters: Dict[str, int] = {}
 
     @classmethod
     def from_env(cls, environ: Optional[Dict[str, str]] = None) -> "FaultInjector":
@@ -201,48 +135,10 @@ class FaultInjector:
     def __bool__(self) -> bool:
         return bool(self.faults)
 
-    def _fire(self, point: str, ordinal: int) -> None:
-        for fault in self.faults:
-            if fault.point != point or int(fault.at) != ordinal:
-                continue
-            if fault.kind == "kill":
-                _sigkill_self()
-            if fault.kind == "coordkill" and _coordinator_alive():
-                _sigkill_self()
-            if fault.kind == "drop":
-                raise InjectedDrop(f"injected drop at {point}:{ordinal}")
-            if fault.kind == "corrupt":
-                raise InjectedCorrupt(f"injected corruption at {point}:{ordinal}")
-            if fault.kind == "hang":  # pragma: no cover - only dies by SIGKILL
-                while True:
-                    time.sleep(60)
-
-    def on_recv(self) -> None:
-        """Hook: the worker received one protocol message."""
-        ordinal = self._counters.get("recv", 0)
-        self._counters["recv"] = ordinal + 1
-        self._fire("recv", ordinal)
-
-    def on_shard(self, shard_id: int) -> None:
-        """Hook: the worker was assigned shard ``shard_id``."""
-        self._fire("shard", int(shard_id))
-
-    def on_task_execute(self) -> None:
-        """Hook: the worker is about to run a task.
-
-        Counts tasks (the ``task`` point for ``hang``/``kill``/``drop``
-        ordinals) and applies any ``slow`` delay.
-        """
-        ordinal = self._counters.get("task", 0)
-        self._counters["task"] = ordinal + 1
-        self._fire("task", ordinal)
-        for fault in self.faults:
-            if fault.kind == "slow" and fault.point == "task" and fault.at > 0:
-                time.sleep(fault.at)
-
     def on_checkpoint_saved(self, generation: int) -> None:
         """Hook: a checkpoint for ``generation`` was durably written."""
-        self._fire("gen", int(generation))
+        if any(int(fault.at) == generation for fault in self.faults):
+            _sigkill_self()
 
 
 #: Lazily constructed process-wide injector (one env read per process).

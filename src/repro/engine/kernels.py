@@ -5,8 +5,7 @@ The engine's hottest loops — the packed uint64 circuit slabs of
 packing, and the constant-propagation/liveness area sweep) and the LUT
 gather+accumulate of :mod:`repro.nn.inference` — are numpy-bound
 Python.  This module puts optional native implementations of those
-loops behind a small registry mirroring the
-:func:`repro.engine.backends.register_backend` pattern:
+loops behind a small registry (:func:`register_kernel_tier`):
 
 * ``numpy``  — the in-tree reference (no compiled ops; callers keep
   their vectorized numpy path).  Always available.
@@ -26,12 +25,10 @@ Each non-numpy tier must pass a hard-coded self-test at load time
 (:func:`self_test_kernel`); a tier whose compiled code diverges marks
 itself unavailable rather than silently corrupting a search.
 
-Process pools and remote fleets: the module registers a
-``kernel_tier`` fork-context provider so the shared warm process pool
-reforks when the ambient tier selection changes, and
-:func:`kernel_availability` feeds the remote worker handshake so a
-coordinator can warn about (not crash on) a fleet mixing compiled and
-numpy-only workers.
+Process pools: the module registers a ``kernel_tier`` fork-context
+provider so the shared warm process pool reforks when the ambient tier
+selection changes.  :func:`kernel_availability` stamps the benchmark
+reports.
 """
 
 from __future__ import annotations
@@ -46,10 +43,10 @@ import numpy as np
 
 from repro.errors import ExperimentError
 
-#: Environment variable naming the default kernel tier.  Spawned pool
-#: and remote workers inherit the parent's environment, so setting it
-#: (e.g. via the CLI's ``--kernel-tier``) propagates the selection to
-#: every worker the run forks or spawns.
+#: Environment variable naming the default kernel tier.  Pool workers
+#: inherit the parent's environment, so setting it (e.g. via the CLI's
+#: ``--kernel-tier``) propagates the selection to every worker the run
+#: forks.
 KERNEL_TIER_ENV = "REPRO_KERNEL_TIER"
 
 #: The always-available reference tier.
@@ -192,7 +189,7 @@ def register_kernel_tier(
     :class:`KernelImpl`; raising :class:`KernelError` (or anything
     else) marks the tier unavailable.  ``priority`` orders ``auto``
     resolution — highest available wins.  Registration is idempotent
-    per name (latest loader wins), mirroring ``register_backend``.
+    per name (latest loader wins).
     """
     with _LOCK:
         _TIER_FACTORIES[name] = (priority, loader)
@@ -239,9 +236,8 @@ def kernel_available(name: str) -> bool:
 def kernel_availability() -> Dict[str, bool]:
     """Availability of every registered tier on this host.
 
-    This is the map remote workers advertise in their handshake and
-    benchmark reports stamp, so mixed fleets and cross-environment
-    perf trajectories stay diagnosable.
+    This is the map benchmark reports stamp, so cross-environment perf
+    trajectories stay diagnosable.
     """
     return {name: kernel_available(name) for name in kernel_tier_names()}
 

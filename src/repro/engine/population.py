@@ -12,10 +12,9 @@ identical results:
   :meth:`repro.ga.fitness.FitnessEvaluator.evaluate_population` and
   :class:`repro.approx.pruning.BatchedPruningObjectives`);
 * ``thread`` / ``process`` — fan the cache misses out over the
-  matching :mod:`repro.engine.backends` executor through the
-  submit/future engine (:class:`repro.engine.taskgraph.EngineSession`);
-  futures are gathered in submission order, so completion order cannot
-  leak into the outcome;
+  matching :mod:`repro.engine.backends` executor; ``map_shards``
+  returns results in shard order, so completion order cannot leak into
+  the outcome;
 * ``auto``   — ``batch`` when a batch callable exists, else ``thread``
   when the machine has more than one CPU, else ``serial``.
 
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.backends import ProcessBackend, ThreadBackend
-from repro.engine.taskgraph import EngineSession
 from repro.errors import OptimizationError
 
 Genome = Tuple[int, ...]
@@ -157,15 +155,10 @@ class PopulationEvaluator:
             elif mode == "serial" or len(misses) == 1:
                 results = [self.evaluate(g) for g in misses]
             elif mode == "thread":
-                backend = ThreadBackend(
-                    min(self.config.resolved_workers(), len(misses))
+                backend = ThreadBackend(self.config.resolved_workers())
+                shard_results = backend.map_shards(
+                    self.evaluate, [[(genome,)] for genome in misses]
                 )
-                with EngineSession(backend) as session:
-                    futures = [
-                        session.submit(self.evaluate, [(genome,)])
-                        for genome in misses
-                    ]
-                    shard_results = session.gather(futures)
                 results = [shard[0] for shard in shard_results]
             else:  # process: warm shared pool, chunked dispatch
                 results = self._process_map(misses)
@@ -202,7 +195,5 @@ class PopulationEvaluator:
             [(genome,) for genome in misses[start : start + chunk]]
             for start in range(0, len(misses), chunk)
         ]
-        with EngineSession(ProcessBackend(workers)) as session:
-            futures = [session.submit(self.evaluate, shard) for shard in shards]
-            shard_results = session.gather(futures)
+        shard_results = ProcessBackend(workers).map_shards(self.evaluate, shards)
         return [result for shard in shard_results for result in shard]

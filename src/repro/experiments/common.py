@@ -6,10 +6,9 @@ shrinks the searches for unit tests and CI smoke runs.  The settings
 also carry the execution policy: the population engine for individual
 GA runs (``engine_mode``), the on-disk fitness cache (``cache_dir``),
 and the grid-dispatch policy (``grid_mode``/``grid_workers``/
-``grid_shards``/``grid_coordinator``) used by
-:class:`~repro.engine.grid.GridRunner` to fan experiment cells out over
-the configured execution backend — the persistent local process pool or
-the multi-node remote coordinator.
+``grid_shards``) used by :class:`~repro.engine.grid.GridRunner` to fan
+experiment cells out over the configured execution backend — serial, a
+thread pool, or the persistent local process pool.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from repro.accuracy.predictor import AccuracyPredictor
 from repro.approx.library import ApproxLibrary, build_library
 from repro.core.designer import CarbonAwareDesigner
 from repro.core.results import DesignPoint
-from repro.engine.grid import REMOTE_MODES, GridConfig, GridRunner
+from repro.engine.grid import GridConfig, GridRunner
 from repro.engine.population import EngineConfig
 from repro.errors import ExperimentError
 from repro.ga.engine import GaConfig
@@ -84,17 +83,10 @@ class ExperimentSettings:  # repro: fingerprinted[SETTINGS_TRAJECTORY_FIELDS]
             different settings refuses with
             :class:`~repro.errors.CheckpointError`.
         grid_mode: execution backend for the experiment grids
-            (``auto`` / ``serial`` / ``thread`` / ``process`` /
-            ``remote``; every backend returns identical, identically
-            ordered results).
-        grid_workers: worker count for the sharded grid modes; in
-            ``remote`` mode the number of locally spawned worker
-            daemons (``0`` = external workers only).
-        grid_shards: shard count override (default: one per worker;
-            one per cell in ``remote`` mode).
-        grid_coordinator: ``HOST:PORT`` the remote coordinator binds
-            (default loopback/ephemeral); bind a routable host to let
-            workers on other machines connect.
+            (``auto`` / ``serial`` / ``thread`` / ``process``; every
+            backend returns identical, identically ordered results).
+        grid_workers: worker count for the sharded grid modes.
+        grid_shards: shard count override (default: one per worker).
         stack_workers: thread-tiling knob for the stacked LUT inference
             (``"auto"`` / positive int / ``None`` for the process
             default); every value returns bit-identical drops.
@@ -106,21 +98,12 @@ class ExperimentSettings:  # repro: fingerprinted[SETTINGS_TRAJECTORY_FIELDS]
             numpy with a warning, so it is not part of any cache or
             checkpoint key.
         accuracy_mode: execution backend for the behavioural accuracy
-            stage (``auto`` / ``serial`` / ``thread`` / ``process`` /
-            ``remote``) — library scoring shards multiplier sub-stacks
-            across it, bit-identical to serial in every mode.
-        accuracy_workers: worker count for the sharded accuracy modes;
-            in ``remote`` mode the number of locally spawned daemons.
+            stage (``auto`` / ``serial`` / ``thread`` / ``process``) —
+            library scoring shards multiplier sub-stacks across it,
+            bit-identical to serial in every mode.
+        accuracy_workers: worker count for the sharded accuracy modes.
         accuracy_shards: sub-stack count override for the accuracy
             stage (default: one per worker).
-        accuracy_coordinator: ``HOST:PORT`` for a ``remote`` accuracy
-            stage (falls back to ``grid_coordinator``).
-        task_deadline_s: per-task deadline in seconds for the remote
-            stages (CLI ``--task-deadline``) — a shard unacked past it
-            is revoked from its (presumably hung) worker and requeued;
-            the late result is discarded, so results stay bit-identical
-            to serial.  Ignored by the local modes; ``None`` (default)
-            waits forever.
     """
 
     # repro: non-trajectory[grid axis: harnesses key fingerprints per cell]
@@ -151,8 +134,6 @@ class ExperimentSettings:  # repro: fingerprinted[SETTINGS_TRAJECTORY_FIELDS]
     grid_workers: Optional[int] = None
     # repro: non-trajectory[execution policy: every backend bit-identical]
     grid_shards: Optional[int] = None
-    # repro: non-trajectory[execution policy: every backend bit-identical]
-    grid_coordinator: Optional[str] = None
     # repro: non-trajectory[execution policy: tiling is bit-identical]
     stack_workers: Optional[Union[int, str]] = None
     # repro: non-trajectory[kernel tiers are bit-identical by contract]
@@ -163,10 +144,6 @@ class ExperimentSettings:  # repro: fingerprinted[SETTINGS_TRAJECTORY_FIELDS]
     accuracy_workers: Optional[int] = None
     # repro: non-trajectory[execution policy: every backend bit-identical]
     accuracy_shards: Optional[int] = None
-    # repro: non-trajectory[execution policy: every backend bit-identical]
-    accuracy_coordinator: Optional[str] = None
-    # repro: non-trajectory[recovery policy: late results are discarded]
-    task_deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.nodes_nm or not self.networks:
@@ -178,10 +155,6 @@ class ExperimentSettings:  # repro: fingerprinted[SETTINGS_TRAJECTORY_FIELDS]
         from repro.engine.kernels import validate_kernel_tier
 
         validate_kernel_tier(self.kernel_tier)  # fail fast on typos
-        if self.task_deadline_s is not None and self.task_deadline_s <= 0:
-            raise ExperimentError(
-                f"task_deadline_s must be > 0, got {self.task_deadline_s}"
-            )
         if self.resume and self.checkpoint_dir is None:
             raise ExperimentError(
                 "resume=True needs checkpoint_dir: there is nowhere to "
@@ -253,43 +226,16 @@ class ExperimentSettings:  # repro: fingerprinted[SETTINGS_TRAJECTORY_FIELDS]
                 mode=self.grid_mode,
                 workers=self.grid_workers,
                 shards=self.grid_shards,
-                coordinator=self.grid_coordinator,
-                # a deadline only makes sense where work can hang on a
-                # remote worker; local modes ignore it
-                task_deadline_s=(
-                    self.task_deadline_s
-                    if self.grid_mode in REMOTE_MODES
-                    else None
-                ),
             )
         )
 
     def accuracy_runner(self) -> GridRunner:
         """Sub-stack dispatch policy for the behavioural accuracy stage."""
-        if self.accuracy_coordinator is not None and self.accuracy_mode != "remote":
-            # mirror GridConfig's check: an explicitly configured
-            # coordinator must not be silently ignored while the user's
-            # worker fleet waits on a stage that runs locally
-            raise ExperimentError(
-                "accuracy_coordinator is only meaningful with "
-                f"accuracy_mode='remote', got accuracy_mode={self.accuracy_mode!r}"
-            )
-        # grid_coordinator doubles as the fallback bind address, but only
-        # once the accuracy stage itself opted into remote dispatch
-        coordinator = self.accuracy_coordinator or self.grid_coordinator
         return GridRunner(
             GridConfig(
                 mode=self.accuracy_mode,
                 workers=self.accuracy_workers,
                 shards=self.accuracy_shards,
-                coordinator=(
-                    coordinator if self.accuracy_mode == "remote" else None
-                ),
-                task_deadline_s=(
-                    self.task_deadline_s
-                    if self.accuracy_mode in REMOTE_MODES
-                    else None
-                ),
             )
         )
 

@@ -2,12 +2,12 @@
 
 The behavioural accuracy study is the fourth engine client: a
 :class:`BehavioralValidator` given a :class:`GridRunner` shards the
-uncached multiplier stack into contiguous sub-stacks dispatched through
-the :class:`ExecutorBackend` registry.  Accuracy per multiplier is
-independent of which sub-stack carries it, so every backend, shard
-count, and ``stack_workers`` value must return the scalar reference's
-drops bit for bit — these tests pin that contract for serial, thread,
-process, and remote dispatch.
+uncached multiplier stack into contiguous sub-stacks dispatched over an
+:class:`ExecutorBackend`.  Accuracy per multiplier is independent of
+which sub-stack carries it, so every backend, shard count, and
+``stack_workers`` value must return the scalar reference's drops bit
+for bit — these tests pin that contract for serial, thread and process
+dispatch.
 """
 
 import pytest
@@ -15,10 +15,7 @@ import pytest
 from repro.accuracy.behavioral import BehavioralValidator, _accuracy_batch_cell
 from repro.accuracy.predictor import AccuracyPredictor
 from repro.approx.library import build_library
-from repro.engine.backends import (
-    shutdown_remote_backends,
-    shutdown_shared_pools,
-)
+from repro.engine.backends import shutdown_shared_pools
 from repro.engine.grid import GridConfig, GridRunner
 from repro.nn.synthetic import make_task
 
@@ -41,12 +38,8 @@ def _task():
     return make_task(seed=0, n_train_per_class=15, n_test_per_class=10)
 
 
-def _runner(mode, workers=2, shards=None, coordinator=None):
-    return GridRunner(
-        GridConfig(
-            mode=mode, workers=workers, shards=shards, coordinator=coordinator
-        )
-    )
+def _runner(mode, workers=2, shards=None):
+    return GridRunner(GridConfig(mode=mode, workers=workers, shards=shards))
 
 
 class TestBackendShardedDrops:
@@ -56,15 +49,6 @@ class TestBackendShardedDrops:
     ):
         validator = BehavioralValidator(task=_task(), runner=_runner(mode))
         assert validator.drop_percents(list(library)) == reference_drops
-
-    def test_remote_matches_scalar_reference(self, library, reference_drops):
-        validator = BehavioralValidator(
-            task=_task(), runner=_runner("remote", workers=2)
-        )
-        try:
-            assert validator.drop_percents(list(library)) == reference_drops
-        finally:
-            shutdown_remote_backends()
 
     @pytest.mark.parametrize("shards", [1, 2, 5])
     def test_substack_count_never_changes_drops(
@@ -128,25 +112,6 @@ class TestSettingsWiring:
 
         with pytest.raises(AccuracyModelError, match="stack_workers"):
             replace(fast_settings(), stack_workers=0)
-
-    def test_coordinator_without_remote_mode_rejected(self):
-        """An explicit coordinator must never be silently ignored."""
-        from dataclasses import replace
-
-        from repro.errors import ExperimentError
-        from repro.experiments.common import fast_settings
-
-        settings = replace(
-            fast_settings(), accuracy_coordinator="10.0.0.5:9000"
-        )
-        with pytest.raises(ExperimentError, match="accuracy_mode='remote'"):
-            settings.accuracy_runner()
-        # the grid coordinator doubling as the fallback bind address is
-        # fine — the accuracy stage only reads it once remote is chosen
-        settings = replace(
-            fast_settings(), grid_mode="remote", grid_coordinator="127.0.0.1:0"
-        )
-        assert settings.accuracy_runner().config.coordinator is None
 
     def test_invalid_accuracy_mode_rejected(self):
         from dataclasses import replace

@@ -23,7 +23,7 @@ class TestRegistry:
     def test_builtin_rules_registered(self):
         assert set(rule_codes()) >= {
             "RNG001", "NDT001", "PKL001", "FPR001",
-            "KRN001", "TMO001", "SUP001",
+            "KRN001", "SUP001",
         }
 
     def test_duplicate_code_raises(self):

@@ -448,97 +448,3 @@ class TestKrn001:
             ["KRN001"],
         )
         assert any("by keyword" in f.message for f in findings)
-
-
-class TestTmo001:
-    def test_bare_wait_in_engine_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            """
-            import threading
-
-            event = threading.Event()
-            condition = threading.Condition()
-            event.wait()
-            with condition:
-                condition.wait()
-            """,
-            ["TMO001"],
-            name="engine/poller.py",
-        )
-        assert [f.line for f in findings] == [6, 8]
-        assert "timeout" in findings[0].message
-
-    def test_bounded_waits_pass(self, tmp_path):
-        assert lint(
-            tmp_path,
-            """
-            import threading
-
-            event = threading.Event()
-            condition = threading.Condition()
-            event.wait(0.2)
-            with condition:
-                condition.wait(timeout=0.2)
-            """,
-            ["TMO001"],
-            name="engine/poller.py",
-        ) == []
-
-    def test_dial_without_timeout_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            """
-            import socket
-
-            sock = socket.create_connection(("127.0.0.1", 7777))
-            """,
-            ["TMO001"],
-            name="engine/dialer.py",
-        )
-        assert [f.line for f in findings] == [4]
-        assert "create_connection" in findings[0].message
-
-    def test_dial_with_timeout_passes(self, tmp_path):
-        assert lint(
-            tmp_path,
-            """
-            import socket
-
-            a = socket.create_connection(("h", 1), timeout=10.0)
-            b = socket.create_connection(("h", 1), 10.0)
-            """,
-            ["TMO001"],
-            name="engine/dialer.py",
-        ) == []
-
-    def test_settimeout_none_flagged_and_suppressible(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            """
-            import socket
-
-            sock = socket.create_connection(("h", 1), timeout=1.0)
-            sock.settimeout(None)
-            ok = socket.create_connection(("h", 1), timeout=1.0)
-            ok.settimeout(None)  # repro: noqa[TMO001]
-            """,
-            ["TMO001"],
-            name="engine/dialer.py",
-        )
-        assert [f.line for f in findings] == [5]
-        assert "settimeout(None)" in findings[0].message
-
-    def test_outside_engine_not_flagged(self, tmp_path):
-        # unbounded waits are ordinary outside the engine layer
-        assert lint(
-            tmp_path,
-            """
-            import threading
-
-            event = threading.Event()
-            event.wait()
-            """,
-            ["TMO001"],
-            name="experiments/reporter.py",
-        ) == []

@@ -144,6 +144,23 @@ class TestBatchedLibrary:
             reference
         )
 
+    def test_thread_engine_identical_to_serial(self):
+        """Thread mode with search-free variants matches the serial build."""
+        settings = dict(
+            width=4, population=8, generations=3, max_candidates=24,
+            truncations=((1, 0), (0, 1)), hybrid=False, structural=True,
+            structural_cuts=(2, 3), use_cache=False,
+        )
+        reference = build_library(
+            engine=EngineConfig(mode="serial"), **settings
+        )
+        threaded = build_library(
+            engine=EngineConfig(mode="thread", workers=2), **settings
+        )
+        assert library_fingerprint(threaded) == library_fingerprint(
+            reference
+        )
+
     def test_hybrid_path_bit_identical(self):
         settings = dict(FAST, hybrid=True)
         reference = build_library(

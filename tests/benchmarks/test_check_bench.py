@@ -69,33 +69,3 @@ class TestGatesStillWork:
         result = run_gate(bad, cwd=tmp_path)
         assert result.returncode == 1
         assert "diverged" in result.stderr
-
-
-class TestRecoveryOverheadGate:
-    def test_within_bar_passes_and_is_reported(self, tmp_path):
-        report = write_report(
-            tmp_path / "BENCH_r.json", recovery_overhead=0.03
-        )
-        result = run_gate(
-            report, "--max-recovery-overhead", "0.10", cwd=tmp_path
-        )
-        assert result.returncode == 0
-        assert "recovery_overhead=0.03" in result.stdout
-
-    def test_above_bar_fails(self, tmp_path):
-        report = write_report(
-            tmp_path / "BENCH_r.json", recovery_overhead=0.42
-        )
-        result = run_gate(
-            report, "--max-recovery-overhead", "0.10", cwd=tmp_path
-        )
-        assert result.returncode == 1
-        assert "recovery_overhead 0.42 above the 0.1 gate" in result.stderr
-
-    def test_report_without_field_is_skipped(self, tmp_path):
-        report = write_report(tmp_path / "BENCH_r.json")
-        result = run_gate(
-            report, "--max-recovery-overhead", "0.10", cwd=tmp_path
-        )
-        assert result.returncode == 0
-        assert "recovery_overhead" not in result.stdout

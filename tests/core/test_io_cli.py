@@ -76,8 +76,7 @@ class TestCliParser:
             build_parser().parse_args(["accuracy", "--help"])
         text = capsys.readouterr().out
         for flag in ("--stack-workers", "--accuracy-mode",
-                     "--accuracy-workers", "--accuracy-shards",
-                     "--coordinator"):
+                     "--accuracy-workers", "--accuracy-shards"):
             assert flag in text
 
     def test_accuracy_mode_choices(self):

@@ -1,17 +1,10 @@
-"""Chaos suite: real SIGKILLs against checkpointed searches and workers.
+"""Chaos suite: real SIGKILLs against checkpointed searches.
 
-Three properties are pinned here, each against *genuine* process death
-(``os.kill(pid, SIGKILL)`` — no atexit, no finally blocks, no flushing):
-
-1. **Bit-identical resume** — a ``build_library`` subprocess SIGKILLed
-   at a seeded-random generation, then resumed, produces a library
-   fingerprint identical to an uninterrupted run's.
-2. **Protocol-state coverage** — a remote worker killed at *every*
-   protocol message ordinal (handshake greeting, each task, ...) never
-   changes the run's results; the fleet's survivors finish the shards.
-3. **Graceful degradation** — when the whole remote fleet dies,
-   :class:`FallbackBackend` drains the unfinished shards locally with a
-   warning instead of losing the run.
+The property pinned here holds against *genuine* process death
+(``os.kill(pid, SIGKILL)`` — no atexit, no finally blocks, no
+flushing): a ``build_library`` subprocess SIGKILLed at a seeded-random
+generation, then resumed, produces a library fingerprint identical to
+an uninterrupted run's.
 
 Every test carries a hard ``SIGALRM`` timeout so an injected fault that
 wedges a loop fails loudly instead of hanging CI.
@@ -19,41 +12,17 @@ wedges a loop fails loudly instead of hanging CI.
 
 import os
 import signal
-import socket
 import subprocess
 import sys
-import time
-import warnings
 
 import pytest
 
-import remote_cells
-from repro.engine.backends import (
-    CoordinatorConfig,
-    FallbackBackend,
-    RemoteBackend,
-    RemoteCoordinator,
-    RemoteRunError,
-    SerialBackend,
-    backend_names,
-    spawn_local_worker,
-)
-from repro.engine.faults import (
-    FAULTS_ENV,
-    FaultInjector,
-    parse_faults,
-    reset_active_injector,
-)
-from repro.errors import ExperimentError
+from repro.engine.faults import FAULTS_ENV, reset_active_injector
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(os.path.dirname(HERE)), "src")
 
-CELLS = [(value, 100) for value in range(6)]
-SHARDS = [CELLS[:2], CELLS[2:4], CELLS[4:]]
-EXPECTED = [[value * value + 100 for value, _ in shard] for shard in SHARDS]
-
-#: Per-test wall-clock budget; a wedged protocol loop must fail, not hang.
+#: Per-test wall-clock budget; a wedged search must fail, not hang.
 TEST_TIMEOUT_S = 120
 
 
@@ -80,14 +49,6 @@ def isolated_faults(monkeypatch):
     reset_active_injector()
 
 
-@pytest.fixture(autouse=True)
-def worker_pythonpath(monkeypatch):
-    """Let spawned workers import ``remote_cells`` by reference."""
-    existing = os.environ.get("PYTHONPATH")
-    merged = HERE if not existing else HERE + os.pathsep + existing
-    monkeypatch.setenv("PYTHONPATH", merged)
-
-
 def _run_chaos_runner(checkpoint_dir, resume=False, faults=None, seed=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -102,60 +63,6 @@ def _run_chaos_runner(checkpoint_dir, resume=False, faults=None, seed=None):
     return subprocess.run(
         command, env=env, capture_output=True, text=True, timeout=100
     )
-
-
-def _run_coordcrash_runner(
-    checkpoint_dir, port, journal, resume=False, faults=None
-):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    if faults is not None:
-        env[FAULTS_ENV] = faults
-    else:
-        env.pop(FAULTS_ENV, None)
-    command = [
-        sys.executable,
-        os.path.join(HERE, "coordcrash_runner.py"),
-        str(checkpoint_dir),
-        "--port",
-        str(port),
-        "--journal",
-        str(journal),
-    ]
-    if resume:
-        command.append("--resume")
-    # the runner's spawned worker daemons inherit its stdio; after a
-    # SIGKILL the orphans keep a capture *pipe* open long past the
-    # runner's death (wedging subprocess.run), so collect output
-    # through files, which only need the runner itself to exit
-    out_path = str(checkpoint_dir) + ".stdout"
-    err_path = str(checkpoint_dir) + ".stderr"
-    with open(out_path, "w") as out, open(err_path, "w") as err:
-        completed = subprocess.run(
-            command, env=env, stdout=out, stderr=err, timeout=100
-        )
-    with open(out_path) as out, open(err_path) as err:
-        return subprocess.CompletedProcess(
-            completed.args, completed.returncode,
-            stdout=out.read(), stderr=err.read(),
-        )
-
-
-def _free_port() -> int:
-    sock = socket.socket()
-    sock.bind(("127.0.0.1", 0))
-    port = sock.getsockname()[1]
-    sock.close()
-    return port
-
-
-def _wait_until(predicate, timeout=30.0, interval=0.05):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return False
 
 
 def _fingerprint(completed: subprocess.CompletedProcess) -> str:
@@ -213,359 +120,3 @@ class TestSigkillResume:
         assert _fingerprint(run) == _fingerprint(
             _run_chaos_runner(tmp_path / "ref")
         )
-
-
-class TestWorkerKillSweep:
-    """SIGKILL a worker at every protocol message ordinal.
-
-    Ordinal 0 is the handshake greeting (worker dies registered but
-    idle); ordinal N >= 1 is the Nth post-handshake message — task
-    assignments and, eventually, shutdown.  For every strike point the
-    surviving worker must finish the shards with unchanged results.
-    """
-
-    @pytest.mark.parametrize("ordinal", [0, 1, 2, 3])
-    def test_kill_at_protocol_ordinal(self, monkeypatch, ordinal):
-        import threading
-
-        with RemoteCoordinator("127.0.0.1:0") as coordinator:
-            outcome = {}
-
-            def run():
-                outcome["result"] = coordinator.map_shards(
-                    remote_cells.square_offset, SHARDS
-                )
-
-            thread = threading.Thread(target=run, daemon=True)
-            thread.start()
-            # the faulty worker serves the run *alone*, so with three
-            # shards it deterministically receives the greeting
-            # (ordinal 0) and then one message per task — every swept
-            # ordinal is reached, and the strike always lands
-            monkeypatch.setenv(FAULTS_ENV, f"kill@recv:{ordinal}")
-            faulty = spawn_local_worker(coordinator.address)
-            monkeypatch.delenv(FAULTS_ENV)
-            healthy = None
-            try:
-                assert faulty.wait(timeout=30) == -signal.SIGKILL
-                healthy = spawn_local_worker(coordinator.address)
-                thread.join(timeout=60)
-                assert outcome.get("result") == EXPECTED
-            finally:
-                coordinator.close()
-                for proc in (faulty, healthy):
-                    if proc is None:
-                        continue
-                    try:
-                        proc.wait(timeout=10)
-                    except subprocess.TimeoutExpired:
-                        proc.kill()
-                        proc.wait()
-
-    def test_injected_drop_is_a_clean_worker_exit(self, monkeypatch):
-        """drop faults close the connection; the worker exits 0."""
-        import threading
-
-        with RemoteCoordinator("127.0.0.1:0") as coordinator:
-            outcome = {}
-
-            def run():
-                outcome["result"] = coordinator.map_shards(
-                    remote_cells.square_offset, SHARDS
-                )
-
-            thread = threading.Thread(target=run, daemon=True)
-            thread.start()
-            monkeypatch.setenv(FAULTS_ENV, "drop@recv:1")
-            dropping = spawn_local_worker(coordinator.address)
-            monkeypatch.delenv(FAULTS_ENV)
-            healthy = None
-            try:
-                # solo worker: its first task is deterministically
-                # recv ordinal 1, so the drop always fires — and unlike
-                # a kill it exits cleanly
-                assert dropping.wait(timeout=30) == 0
-                healthy = spawn_local_worker(coordinator.address)
-                thread.join(timeout=60)
-                assert outcome.get("result") == EXPECTED
-            finally:
-                coordinator.close()
-                for proc in (dropping, healthy):
-                    if proc is None:
-                        continue
-                    try:
-                        proc.wait(timeout=10)
-                    except subprocess.TimeoutExpired:
-                        proc.kill()
-                        proc.wait()
-
-
-class _FailingPrimary:
-    """Scripted stand-in for a remote backend that lost its fleet."""
-
-    def __init__(self, error):
-        self.error = error
-        self.calls = 0
-
-    def map_shards(self, fn, shards):
-        self.calls += 1
-        raise self.error
-
-
-class TestFallbackBackend:
-    def test_recoverable_failure_drains_missing_shards(self):
-        completed = {1: EXPECTED[1]}  # shard 1 finished before the abort
-        primary = _FailingPrimary(
-            RemoteRunError("fleet died", completed=completed, recoverable=True)
-        )
-        backend = FallbackBackend(primary, SerialBackend())
-        with pytest.warns(RuntimeWarning, match="draining 2 of 3"):
-            result = backend.map_shards(remote_cells.square_offset, SHARDS)
-        assert result == EXPECTED
-
-    def test_unrecoverable_failure_reraises(self):
-        primary = _FailingPrimary(
-            RemoteRunError("cell raised ValueError", recoverable=False)
-        )
-        backend = FallbackBackend(primary, SerialBackend())
-        with pytest.raises(RemoteRunError, match="cell raised"):
-            backend.map_shards(remote_cells.square_offset, SHARDS)
-
-    def test_healthy_primary_passes_through(self):
-        backend = FallbackBackend(SerialBackend(), SerialBackend())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no spurious degradation noise
-            assert backend.map_shards(remote_cells.square_offset, SHARDS) == (
-                EXPECTED
-            )
-
-    def test_registered_as_grid_mode(self):
-        assert "remote-fallback" in backend_names()
-
-    def test_end_to_end_fleet_death_drains_locally(self, monkeypatch):
-        """A spawned fleet whose every worker dies still returns results."""
-        monkeypatch.setenv(FAULTS_ENV, "kill@recv:1")  # die on first task
-        primary = RemoteBackend(coordinator="127.0.0.1:0", spawn=1)
-        backend = FallbackBackend(primary, SerialBackend())
-        try:
-            with pytest.warns(RuntimeWarning, match="draining"):
-                assert (
-                    backend.map_shards(remote_cells.square_offset, SHARDS)
-                    == EXPECTED
-                )
-        finally:
-            monkeypatch.delenv(FAULTS_ENV, raising=False)
-            backend.close()
-
-
-class TestCoordinatorSigkillRestart:
-    """SIGKILL the coordinator *host* mid-build, restart, compare."""
-
-    def test_coordkill_midbuild_restart_bit_identical(self, tmp_path):
-        reference = _run_chaos_runner(tmp_path / "ref")
-        assert reference.returncode == 0, reference.stderr
-
-        port = _free_port()
-        journal = tmp_path / "coordinator.journal"
-        chaos_dir = tmp_path / "chaos"
-        killed = _run_coordcrash_runner(
-            chaos_dir, port, journal, faults="coordkill@gen:2"
-        )
-        assert killed.returncode == -signal.SIGKILL, killed.stderr
-        assert "library" not in killed.stdout  # died mid-build
-        assert os.path.exists(journal), "no journal survived the crash"
-
-        # same checkpoint dir, same port, same journal: the restarted
-        # incarnation resumes the search, replays journalled variant
-        # scores under a bumped epoch, and adopts redialing workers
-        resumed = _run_coordcrash_runner(
-            chaos_dir, port, journal, resume=True
-        )
-        assert resumed.returncode == 0, resumed.stderr
-        assert _fingerprint(resumed) == _fingerprint(reference)
-        epochs = [
-            line for line in resumed.stdout.splitlines()
-            if line.startswith("epoch ")
-        ]
-        assert epochs and int(epochs[0].split()[1]) >= 1
-
-    def test_cold_coordinator_run_matches_local_reference(self, tmp_path):
-        """No faults: the remote-scored build equals the local build."""
-        reference = _run_chaos_runner(tmp_path / "ref")
-        assert reference.returncode == 0, reference.stderr
-        remote = _run_coordcrash_runner(
-            tmp_path / "cold", _free_port(), tmp_path / "cold.journal"
-        )
-        assert remote.returncode == 0, remote.stderr
-        assert _fingerprint(remote) == _fingerprint(reference)
-
-
-class TestHungWorker:
-    def test_hang_fault_is_revoked_requeued_and_quarantined(
-        self, monkeypatch
-    ):
-        """``hang@task`` end to end: the deadline sweep revokes the
-        hung worker's shard, a healthy worker completes it with
-        unchanged results, and the hung worker is quarantined."""
-        import threading
-
-        config = CoordinatorConfig(
-            poll_interval=0.05,
-            task_deadline_s=0.6,
-            quarantine_threshold=1,
-            quarantine_cooldown_s=60.0,
-        )
-        with RemoteCoordinator("127.0.0.1:0", config=config) as coordinator:
-            outcome = {}
-
-            def run():
-                outcome["result"] = coordinator.map_shards(
-                    remote_cells.square_offset, SHARDS
-                )
-
-            thread = threading.Thread(target=run, daemon=True)
-            thread.start()
-            # solo worker: its first task deterministically hangs
-            monkeypatch.setenv(FAULTS_ENV, "hang@task:0")
-            hung = spawn_local_worker(coordinator.address)
-            monkeypatch.delenv(FAULTS_ENV)
-            healthy = None
-            try:
-                assert _wait_until(
-                    lambda: any(
-                        snap["timeouts"] >= 1
-                        for snap in coordinator.fleet_health().values()
-                    )
-                ), "deadline sweep never revoked the hung task"
-                healthy = spawn_local_worker(coordinator.address)
-                thread.join(timeout=60)
-                assert outcome.get("result") == EXPECTED
-                assert any(
-                    snap["state"] == "quarantined" and snap["timeouts"] >= 1
-                    for snap in coordinator.fleet_health().values()
-                )
-            finally:
-                coordinator.close()
-                if healthy is not None:
-                    healthy.wait(timeout=10)
-                hung.kill()  # hangs by design; reap it
-                hung.wait()
-
-
-class TestInjectedCorruption:
-    def test_corrupt_frame_is_contained_by_the_coordinator(
-        self, monkeypatch
-    ):
-        """``corrupt@recv``: the worker answers with a garbage frame
-        and exits cleanly; the coordinator treats it as a dead worker
-        and requeues the held shard."""
-        import threading
-
-        with RemoteCoordinator("127.0.0.1:0") as coordinator:
-            outcome = {}
-
-            def run():
-                outcome["result"] = coordinator.map_shards(
-                    remote_cells.square_offset, SHARDS
-                )
-
-            thread = threading.Thread(target=run, daemon=True)
-            thread.start()
-            # solo worker: recv ordinal 1 is its first task message
-            monkeypatch.setenv(FAULTS_ENV, "corrupt@recv:1")
-            corrupting = spawn_local_worker(coordinator.address)
-            monkeypatch.delenv(FAULTS_ENV)
-            healthy = None
-            try:
-                assert corrupting.wait(timeout=30) == 0
-                healthy = spawn_local_worker(coordinator.address)
-                thread.join(timeout=60)
-                assert outcome.get("result") == EXPECTED
-            finally:
-                coordinator.close()
-                for proc in (corrupting, healthy):
-                    if proc is None:
-                        continue
-                    try:
-                        proc.wait(timeout=10)
-                    except subprocess.TimeoutExpired:
-                        proc.kill()
-                        proc.wait()
-
-
-class TestFaultGrammar:
-    def test_new_kinds_parse(self):
-        specs = parse_faults("hang@task:2,corrupt@recv:1,coordkill@gen:3")
-        assert [(f.kind, f.point, f.at) for f in specs] == [
-            ("hang", "task", 2.0),
-            ("corrupt", "recv", 1.0),
-            ("coordkill", "gen", 3.0),
-        ]
-
-    def test_kind_point_constraints(self):
-        for bad in ("hang@recv:0", "corrupt@task:0", "coordkill@recv:0"):
-            with pytest.raises(ExperimentError, match="only support"):
-                parse_faults(bad)
-
-    def test_coordkill_is_inert_without_a_live_coordinator(self):
-        # probed in a subprocess: other tests in the same pytest run
-        # legitimately leave the persistent shared_remote_backend
-        # coordinator warm, and a live coordinator is exactly what arms
-        # coordkill — firing the injector in-process would SIGKILL the
-        # whole test run if anything before us touched that singleton
-        probe = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.engine.faults import FaultInjector, "
-                "parse_faults\n"
-                "injector = FaultInjector(parse_faults('coordkill@gen:0'))\n"
-                "injector.on_checkpoint_saved(0)\n"
-                "print('inert')\n",
-            ],
-            env={**os.environ, "PYTHONPATH": SRC},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert probe.returncode == 0, probe.stderr
-        assert "inert" in probe.stdout
-
-
-class TestCoordinatorConfig:
-    def test_defaults(self):
-        config = CoordinatorConfig()
-        assert config.poll_interval == 0.2
-        assert config.shutdown_timeout == 5.0
-
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COORDINATOR_POLL_S", "0.05")
-        monkeypatch.setenv("REPRO_COORDINATOR_SHUTDOWN_S", "11")
-        config = CoordinatorConfig.from_env()
-        assert config.poll_interval == 0.05
-        assert config.shutdown_timeout == 11.0
-
-    def test_junk_env_warns_and_uses_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COORDINATOR_POLL_S", "fast")
-        with pytest.warns(RuntimeWarning, match="non-numeric"):
-            assert CoordinatorConfig.from_env().poll_interval == 0.2
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ExperimentError, match="poll_interval"):
-            CoordinatorConfig(poll_interval=0.0)
-        with pytest.raises(ExperimentError, match="shutdown_timeout"):
-            CoordinatorConfig(shutdown_timeout=-1.0)
-
-    def test_coordinator_honours_config(self):
-        config = CoordinatorConfig(poll_interval=0.05)
-        with RemoteCoordinator("127.0.0.1:0", config=config) as coordinator:
-            assert coordinator.config.poll_interval == 0.05
-            worker = spawn_local_worker(coordinator.address)
-            try:
-                assert (
-                    coordinator.map_shards(remote_cells.square_offset, SHARDS)
-                    == EXPECTED
-                )
-            finally:
-                coordinator.close()
-                worker.wait(timeout=10)

@@ -1,22 +1,21 @@
 """Tests for the deterministic fault-injection harness.
 
 No process is killed here — the SIGKILL path is exercised for real by
-``test_chaos.py`` against subprocesses.  These tests pin the spec
-grammar, the seeded-ordinal resolution (same seed, same strike point),
-and the injector's counter/hook semantics that the chaos suite and CI
-job build on.
+``test_chaos.py`` against subprocesses, and replaced by a recording
+stub in these tests.  They pin the ``kill@gen`` spec grammar, the
+seeded-ordinal resolution (same seed, same strike point), and the
+checkpoint hook that the chaos suite and CI job build on.
 """
 
 import random
-import time
 
 import pytest
 
+from repro.engine import faults
 from repro.engine.faults import (
     FAULTS_ENV,
     FaultInjector,
     FaultSpec,
-    InjectedDrop,
     active_injector,
     parse_faults,
     reset_active_injector,
@@ -24,16 +23,28 @@ from repro.engine.faults import (
 from repro.errors import ExperimentError
 
 
+class Struck(Exception):
+    """Raised by the stubbed SIGKILL so a strike is observable."""
+
+
+@pytest.fixture
+def no_sigkill(monkeypatch):
+    def strike():
+        raise Struck()
+
+    monkeypatch.setattr(faults, "_sigkill_self", strike)
+
+
 class TestSpecGrammar:
     def test_parse_single(self):
-        (fault,) = parse_faults("kill@shard:3")
-        assert fault == FaultSpec(kind="kill", point="shard", at=3)
+        (fault,) = parse_faults("kill@gen:3")
+        assert fault == FaultSpec(kind="kill", point="gen", at=3)
 
     def test_parse_many_with_whitespace(self):
-        faults = parse_faults(" drop@recv:1 , slow@task:0.5 ,")
-        assert faults == (
-            FaultSpec("drop", "recv", 1),
-            FaultSpec("slow", "task", 0.5),
+        specs = parse_faults(" kill@gen:1 , kill@gen:rand:42:10 ,")
+        assert specs == (
+            FaultSpec("kill", "gen", 1),
+            FaultSpec("kill", "gen", random.Random(42).randrange(10)),
         )
 
     def test_seeded_ordinal_is_reproducible(self):
@@ -50,10 +61,13 @@ class TestSpecGrammar:
             "explode@shard:1",     # unknown kind
             "kill@nowhere:1",      # unknown point
             "kill@shard:abc",      # non-numeric ordinal
-            "kill@shard:1.5",      # non-integer event ordinal
-            "slow@shard:1",        # slow only supports task
+            "kill@shard:1.5",      # unknown point: only gen remains
+            "slow@shard:1",        # unknown kind
             "rand:1:2",            # no kind/point at all
             "kill@gen:rand:42",    # seeded ordinal missing HI
+            "kill@gen:1.5",        # non-integer generation
+            "kill@gen:rand:42:0",  # empty seeded range
+            "drop@gen:1",          # unknown kind: only kill strikes
         ],
     )
     def test_malformed_specs_rejected(self, bad):
@@ -66,45 +80,25 @@ class TestSpecGrammar:
 
 
 class TestInjectorHooks:
-    def test_drop_at_recv_ordinal(self):
-        injector = FaultInjector(parse_faults("drop@recv:2"))
-        injector.on_recv()  # 0
-        injector.on_recv()  # 1
-        with pytest.raises(InjectedDrop):
-            injector.on_recv()  # 2 — strike
-
-    def test_drop_at_shard_id(self):
-        injector = FaultInjector(parse_faults("drop@shard:5"))
-        injector.on_shard(4)
-        with pytest.raises(InjectedDrop):
-            injector.on_shard(5)
-
-    def test_slow_task_sleeps(self):
-        injector = FaultInjector(parse_faults("slow@task:0.05"))
-        start = time.monotonic()
-        injector.on_task_execute()
-        assert time.monotonic() - start >= 0.05
-
-    def test_inert_injector_is_free(self):
+    def test_inert_injector_is_free(self, no_sigkill):
         injector = FaultInjector(())
-        injector.on_recv()
-        injector.on_shard(0)
-        injector.on_task_execute()
-        injector.on_checkpoint_saved(0)  # no strikes, no errors
+        for generation in range(4):
+            injector.on_checkpoint_saved(generation)  # no strikes
 
-    def test_gen_hook_matches_generation_not_counter(self):
-        injector = FaultInjector(parse_faults("drop@gen:3"))
+    def test_gen_hook_matches_generation_not_counter(self, no_sigkill):
+        injector = FaultInjector(parse_faults("kill@gen:3"))
         injector.on_checkpoint_saved(1)
         injector.on_checkpoint_saved(2)
-        with pytest.raises(InjectedDrop):
+        with pytest.raises(Struck):
             injector.on_checkpoint_saved(3)
 
 
 class TestEnvPlumbing:
-    def test_from_env_reads_spec(self):
-        injector = FaultInjector.from_env({FAULTS_ENV: "drop@recv:0"})
-        with pytest.raises(InjectedDrop):
-            injector.on_recv()
+    def test_from_env_reads_spec(self, no_sigkill):
+        injector = FaultInjector.from_env({FAULTS_ENV: "kill@gen:0"})
+        assert injector.faults == (FaultSpec("kill", "gen", 0),)
+        with pytest.raises(Struck):
+            injector.on_checkpoint_saved(0)
 
     def test_from_env_without_spec_is_inert(self):
         assert not FaultInjector.from_env({})
@@ -114,7 +108,7 @@ class TestEnvPlumbing:
         monkeypatch.delenv(FAULTS_ENV, raising=False)
         try:
             assert not active_injector()
-            monkeypatch.setenv(FAULTS_ENV, "drop@recv:0")
+            monkeypatch.setenv(FAULTS_ENV, "kill@gen:0")
             assert not active_injector()  # cached: env read once
             reset_active_injector()
             assert active_injector()  # re-read after reset

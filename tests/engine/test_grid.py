@@ -1,16 +1,24 @@
-"""Property tests for the sharded experiment-grid runner.
+"""Property tests for the execution backends and the grid runner.
 
-The contract under test: ``GridRunner.run`` returns the same values in
-the same order for every mode (serial/thread/process) and every shard
-count — sharding changes scheduling only, never results.
+The contract under test: every backend's ``map_shards(fn, shards)``
+equals ``[[fn(*cell) for cell in shard] for shard in shards]``, and
+``GridRunner.run`` returns the same values in the same order for every
+mode (serial/thread/process) and every shard count — sharding changes
+scheduling only, never results.
 """
 
 import os
 
 import pytest
 
-from repro.engine.backends import shared_process_pool, shutdown_shared_pools
-from repro.engine.grid import ExecutionPlan, GridConfig, GridRunner
+from repro.engine.backends import (
+    ProcessBackend,
+    SerialBackend,
+    ThreadBackend,
+    shared_process_pool,
+    shutdown_shared_pools,
+)
+from repro.engine.grid import GRID_MODES, ExecutionPlan, GridConfig, GridRunner
 from repro.errors import ExperimentError
 
 
@@ -33,12 +41,34 @@ CELLS = [(value, 100) for value in range(11)]
 EXPECTED = [value * value + 100 for value in range(11)]
 ITEMS = list(range(11))
 
+SHARDS = [CELLS[:3], CELLS[3:4], CELLS[4:]]
+SHARD_EXPECTED = [[value * value + 100 for value, _ in shard] for shard in SHARDS]
+
+BACKENDS = pytest.mark.parametrize(
+    "backend",
+    [SerialBackend(), ThreadBackend(4), ProcessBackend(2)],
+    ids=["serial", "thread", "process"],
+)
+
+
+class TestLocalBackends:
+    @BACKENDS
+    def test_map_shards_identity(self, backend):
+        assert backend.map_shards(square_offset, SHARDS) == SHARD_EXPECTED
+
+    @BACKENDS
+    def test_empty_shards(self, backend):
+        assert backend.map_shards(square_offset, []) == []
+
 
 class TestGridConfig:
     def test_defaults(self):
         config = GridConfig()
         assert config.mode == "auto"
         assert config.resolved_workers() >= 1
+
+    def test_modes_are_the_local_backends(self):
+        assert GRID_MODES == ("auto", "serial", "thread", "process")
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ExperimentError, match="unknown grid mode"):
@@ -197,3 +227,26 @@ class TestBatchPlans:
         assert runner.run(
             ExecutionPlan.for_batches(square_batch, [3], extra=(7,))
         ) == [16]
+
+
+class TestExecutionPlan:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ExperimentError, match="cells.*batches"):
+            ExecutionPlan(kind="nope", fn=square_offset, items=())
+
+    def test_extra_rejected_on_cell_plans(self):
+        with pytest.raises(ExperimentError, match="batch plans"):
+            ExecutionPlan(
+                kind="cells", fn=square_offset, items=((1, 2),), extra=(3,)
+            )
+
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    def test_run_cells_matches_reference(self, mode):
+        runner = GridRunner(GridConfig(mode=mode, workers=2))
+        assert runner.run(ExecutionPlan.for_cells(square_offset, CELLS)) == EXPECTED
+
+    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    def test_run_batches_matches_reference(self, mode):
+        runner = GridRunner(GridConfig(mode=mode, workers=2, shards=3))
+        plan = ExecutionPlan.for_batches(square_batch, ITEMS, extra=(100,))
+        assert runner.run(plan) == square_batch(ITEMS, 100)

@@ -14,14 +14,13 @@ promise three ways:
   equal the pinned-numpy path exactly, over random genomes/netlists
   and random multiplier stacks, including empty populations, single
   members, all-ties genomes, and non-contiguous inputs;
-* integration — the per-thread scratch-slab pool, the remote-worker
-  handshake availability map, and ``EngineConfig`` validation.
+* integration — the per-thread scratch-slab pool, the warm-pool
+  ``kernel_tier`` context provider, and ``EngineConfig`` validation.
 
 Compiled-tier cases self-skip when no compiled tier loads here (no C
 compiler); the registry/degradation tests run everywhere.
 """
 
-import socket
 import warnings
 
 import numpy as np
@@ -413,64 +412,7 @@ class TestSlabPool:
 
 
 class TestHandshakeAvailability:
-    def _hello(self, coordinator, payload):
-        from repro.engine.backends import recv_msg, send_msg
-
-        conn = socket.create_connection(
-            (coordinator.host, coordinator.port), timeout=5
-        )
-        try:
-            send_msg(conn, payload)
-            reply = recv_msg(conn)
-        finally:
-            conn.close()
-        return reply
-
-    def test_mixed_fleet_warns_once_and_still_welcomes(self):
-        from repro.engine.backends import PROTOCOL_VERSION, RemoteCoordinator
-
-        if not COMPILED:
-            pytest.skip("coordinator has no compiled tier to miss")
-        numpy_only = {name: name == NUMPY_TIER for name in kernel_tier_names()}
-        with RemoteCoordinator() as coordinator:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                for pid in (101, 102):  # identical map warns only once
-                    reply = self._hello(
-                        coordinator,
-                        {
-                            "type": "hello",
-                            "protocol": PROTOCOL_VERSION,
-                            "pid": pid,
-                            "kernels": numpy_only,
-                        },
-                    )
-                    assert reply["type"] == "welcome"
-                # a pre-kernel worker (no kernels field) stays silent
-                reply = self._hello(
-                    coordinator,
-                    {
-                        "type": "hello",
-                        "protocol": PROTOCOL_VERSION,
-                        "pid": 103,
-                    },
-                )
-                assert reply["type"] == "welcome"
-        relevant = [
-            w
-            for w in caught
-            if issubclass(w.category, RuntimeWarning)
-            and "kernel tier" in str(w.message)
-        ]
-        assert len(relevant) == 1
-
-    def test_worker_hello_advertises_availability(self):
-        # the daemon sends kernel_availability() verbatim; pin the
-        # contract on the map itself so the handshake payload and the
-        # benchmark stamps stay in sync
-        availability = kernel_availability()
-        assert availability[NUMPY_TIER] is True
-        assert set(availability) == set(kernel_tier_names())
+    """The tier selection as seen by forked pool workers."""
 
     def test_pool_context_provider_registered(self):
         from repro.engine.backends import _POOL_CONTEXT_PROVIDERS

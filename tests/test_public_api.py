@@ -54,7 +54,6 @@ class TestSubpackagesImportable:
             "repro.engine.vectorized",
             "repro.engine.diskcache",
             "repro.engine.grid",
-            "repro.engine.worker",
             "repro.experiments",
             "repro.experiments.sensitivity",
             "repro.experiments.pareto_sweep",
