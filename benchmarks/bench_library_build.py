@@ -10,16 +10,22 @@ the step-1 execution tiers:
 * **reference** — engine mode ``serial``: the per-genome
   ``prune_wires`` + recompile + simulate path (the bit-exact
   reference);
-* **batched** — the default engine (``auto`` -> ``batch``): the
-  population-batched circuit engine — one compiled pass per NSGA-II
-  generation plus the vectorized constant-propagation/liveness area
-  sweep;
+* **batched** — the default engine (``auto`` -> ``batch``) pinned to
+  one worker: the population-batched circuit engine — one compiled
+  pass per NSGA-II generation plus the vectorized
+  constant-propagation/liveness area sweep — on a single thread;
 * **batched_thread** — the same engine with generation shards
-  dispatched over the ``thread`` execution backend;
-* **batched_kernel** — the batched engine on the best available
-  compiled kernel tier (``auto``; see :mod:`repro.engine.kernels`).
-  The numpy tiers above are pinned to ``kernel_tier="numpy"`` so the
-  compiled tier always has a genuine baseline to beat.
+  dispatched over two ``thread`` backend workers;
+* **batched_kernel** — the single-threaded batched engine on the best
+  available compiled kernel tier (``auto``; see
+  :mod:`repro.engine.kernels`).  The numpy tiers above are pinned to
+  ``kernel_tier="numpy"`` so the compiled tier always has a genuine
+  baseline to beat.
+
+``batched`` and ``batched_kernel`` pin ``workers=1`` so that
+``speedup`` and ``kernel_speedup`` measure the engine itself: left at
+its default, the engine shards each generation over one thread per
+CPU, which is slower than one thread on a 2-CPU host.
 
 Every tier must produce a bit-identical library (names, areas, both
 error-metric blocks, and exhaustive truth tables) — the hard gate; the
@@ -116,7 +122,9 @@ def main() -> int:
         settings, EngineConfig(mode="serial", kernel_tier="numpy"), args.trials
     )
     batched_s, batched_fp, _ = timed_build(
-        settings, EngineConfig(mode="batch", kernel_tier="numpy"), args.trials
+        settings,
+        EngineConfig(mode="batch", workers=1, kernel_tier="numpy"),
+        args.trials,
     )
     thread_s, thread_fp, _ = timed_build(
         settings,
@@ -128,7 +136,7 @@ def main() -> int:
     kernel_tier = resolve_kernel_tier(None)
     kernel_s, kernel_fp, _ = timed_build(
         settings,
-        EngineConfig(mode="batch", kernel_tier=kernel_tier),
+        EngineConfig(mode="batch", workers=1, kernel_tier=kernel_tier),
         args.trials,
     )
 

@@ -7,12 +7,8 @@ Runs paper-scale GA-CDP searches (default :class:`GaConfig`) through
 * the **engine path** — the same search with generations scored through
   :meth:`FitnessEvaluator.evaluate_population` (vectorized batch
   dataflow evaluation, dedup, memoisation);
-* the **checkpointed engine path** — the engine run again with a
-  :class:`~repro.engine.checkpoint.CheckpointStore` snapshotting every
-  generation, to price the crash-safety tax
-  (``checkpoint_overhead``, target <5%% at paper scale);
 
-verifies all three return bit-identical outcomes, and writes the
+verifies both return bit-identical outcomes, and writes the
 ``BENCH_search.json`` perf trajectory consumed by CI and PERF.md.
 
 Usage::
@@ -28,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import platform
-import tempfile
 import time
 from typing import Dict, List
 
@@ -37,7 +32,6 @@ import numpy as np
 from repro.approx.library import build_library
 from repro.approx.nsga2 import fast_non_dominated_sort, pareto_front
 from repro.dataflow.performance import clear_performance_cache
-from repro.engine.checkpoint import CheckpointStore, checkpoint_fingerprint
 from repro.engine.population import EngineConfig, PopulationEvaluator
 from repro.engine.vectorized import fast_non_dominated_sort_np, pareto_front_np
 from repro.ga.chromosome import space_for_library
@@ -107,31 +101,6 @@ def time_search(library, smoke: bool) -> List[Dict]:
         ).run()
         engine_s = time.perf_counter() - start
 
-        clear_performance_cache()
-        ckpt_eval = _evaluator(library, space, network, min_fps, max_drop)
-        ckpt_evaluate = PopulationEvaluator(
-            ckpt_eval.evaluate,
-            batch_evaluate=ckpt_eval.evaluate_population,
-            config=EngineConfig(mode="batch"),
-        )
-        with tempfile.TemporaryDirectory(prefix="bench-ckpt-") as ckpt_dir:
-            store = CheckpointStore(
-                ckpt_dir,
-                name=f"bench-{network}-s{seed}",
-                fingerprint=checkpoint_fingerprint(
-                    "bench-search", network, min_fps, max_drop, seed
-                ),
-            )
-            start = time.perf_counter()
-            checkpointed = GeneticAlgorithm(
-                space,
-                ckpt_eval.evaluate,
-                ga_config,
-                population_evaluate=ckpt_evaluate,
-                checkpoint=store,
-            ).run()
-            checkpoint_s = time.perf_counter() - start
-
         rows.append(
             {
                 "network": network,
@@ -140,14 +109,8 @@ def time_search(library, smoke: bool) -> List[Dict]:
                 "seed": seed,
                 "serial_s": round(serial_s, 4),
                 "engine_s": round(engine_s, 4),
-                "checkpoint_s": round(checkpoint_s, 4),
                 "speedup": round(serial_s / engine_s, 2),
-                "checkpoint_overhead": round(checkpoint_s / engine_s - 1, 4),
-                "identical": (
-                    _outcome_key(serial)
-                    == _outcome_key(engine)
-                    == _outcome_key(checkpointed)
-                ),
+                "identical": _outcome_key(serial) == _outcome_key(engine),
                 "evaluations": serial.evaluations,
                 "best_cdp": serial.best.cdp,
             }
@@ -214,7 +177,6 @@ def main() -> int:
     ops = time_nsga2_ops()
 
     speedups = [row["speedup"] for row in searches]
-    overheads = [row["checkpoint_overhead"] for row in searches]
     report = {
         "benchmark": "search_engine",
         "smoke": args.smoke,
@@ -225,7 +187,6 @@ def main() -> int:
         "ga_searches": searches,
         "nsga2_ops": ops,
         "min_speedup": min(speedups),
-        "max_checkpoint_overhead": max(overheads),
         "all_identical": all(row["identical"] for row in searches)
         and ops["identical"],
     }

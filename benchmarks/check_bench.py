@@ -5,20 +5,12 @@ gates the workflow used to carry)::
 
     python benchmarks/check_bench.py BENCH_search.json BENCH_accuracy.json
     python benchmarks/check_bench.py BENCH_search.json --min-speedup 3.0
-    python benchmarks/check_bench.py BENCH_search.json \
-        --max-checkpoint-overhead 0.05
 
 Each report must carry ``all_identical: true`` (bit-identity is the
 *hard* gate — an engine that diverges from the serial reference is
 wrong, not slow) and a speedup at or above ``--min-speedup``
 (``min_speedup`` for multi-problem reports like ``BENCH_search.json``,
 ``speedup`` for single-number reports like ``BENCH_accuracy.json``).
-
-Reports that price crash safety additionally carry
-``max_checkpoint_overhead`` (relative slowdown of the checkpointed
-engine run, e.g. ``0.03`` = 3%); pass ``--max-checkpoint-overhead`` to
-gate it.  Reports without the field are skipped by that gate, so the
-flag is safe to apply to a mixed report list.
 
 Reports from the kernel-aware benchmarks carry ``kernel_speedup`` (the
 compiled kernel tier's gain over the numpy tier on the same engine
@@ -38,8 +30,7 @@ benchmarks without a bar in per-benchmark form, are likewise skipped.
 The default speedup bar is deliberately loose (1.5x): smoke runs on
 shared CI runners see multi-x timer noise, so identity is enforced
 strictly and throughput only sanity-checked.  Nightly paper-scale runs
-pass a higher bar explicitly — same for the checkpoint-overhead gate
-(loose in smoke, 0.05 nightly per PERF.md).
+pass a higher bar explicitly.
 """
 
 from __future__ import annotations
@@ -53,7 +44,6 @@ from typing import List, Optional
 def check_report(
     path: str,
     min_speedup: float,
-    max_checkpoint_overhead: Optional[float] = None,
     min_kernel_speedup=None,
 ) -> List[str]:
     """Validate one BENCH report; returns a list of failure messages."""
@@ -88,14 +78,6 @@ def check_report(
             f"{name}: speedup {speedup} below the {min_speedup}x gate"
         )
 
-    overhead = report.get("max_checkpoint_overhead")
-    if max_checkpoint_overhead is not None and overhead is not None:
-        if overhead > max_checkpoint_overhead:
-            failures.append(
-                f"{name}: checkpoint overhead {overhead} above the "
-                f"{max_checkpoint_overhead} gate"
-            )
-
     kernel_speedup = report.get("kernel_speedup")
     kernel_extra = ""
     if isinstance(min_kernel_speedup, dict):
@@ -128,11 +110,7 @@ def check_report(
             )
 
     if not failures:
-        extra = "" if overhead is None else f", checkpoint_overhead={overhead}"
-        print(
-            f"ok: {name} — identical=True, speedup={speedup}"
-            f"{extra}{kernel_extra}"
-        )
+        print(f"ok: {name} — identical=True, speedup={speedup}{kernel_extra}")
     return failures
 
 
@@ -147,13 +125,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--min-speedup", type=float, default=1.5,
         help="minimum acceptable speedup (default: 1.5, the smoke bar)",
-    )
-    parser.add_argument(
-        "--max-checkpoint-overhead", type=float, default=None,
-        metavar="FRACTION",
-        help="maximum acceptable checkpoint overhead as a fraction "
-        "(e.g. 0.05 = 5%%); off by default, reports without the "
-        "field are skipped",
     )
     parser.add_argument(
         "--min-kernel-speedup", nargs="+", default=None,
@@ -186,12 +157,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     failures: List[str] = []
     for path in args.reports:
         failures.extend(
-            check_report(
-                path,
-                args.min_speedup,
-                args.max_checkpoint_overhead,
-                min_kernel_speedup,
-            )
+            check_report(path, args.min_speedup, min_kernel_speedup)
         )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

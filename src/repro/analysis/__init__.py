@@ -45,14 +45,14 @@ Rule inventory
     A config dataclass whose class line carries
     ``# repro: fingerprinted[DECL]`` must keep every field in sync
     with the module-level ``DECL = ("field", ...)`` trajectory
-    declaration that feeds
-    :func:`repro.engine.checkpoint.trajectory_parts`:
+    declaration that its fingerprint digests (today
+    :meth:`repro.experiments.common.ExperimentSettings.trajectory_fingerprint`):
     every field is either listed in ``DECL`` or annotated
     ``# repro: non-trajectory[reason]`` (same line or the line
     above), and every declared name must still be a field.  This
-    catches both halves of the "new knob silently missing from resume
-    refusal" bug class: adding an undeclared field fails, deleting a
-    declared one fails.
+    catches both halves of the "new knob silently missing from the
+    trajectory fingerprint" bug class: adding an undeclared field
+    fails, deleting a declared one fails.
 
 ``KRN001`` — kernel-tier parity (error)
     Every ``KernelImpl(...)`` site provides either the full kernel

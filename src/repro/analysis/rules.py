@@ -250,7 +250,7 @@ def check_boundary_picklability(context: AnalysisContext) -> Iterator[Finding]:
 
 
 # --------------------------------------------------------------------------
-# FPR001 — fingerprint completeness for checkpointed config dataclasses.
+# FPR001 — fingerprint completeness for fingerprinted config dataclasses.
 # --------------------------------------------------------------------------
 
 _FINGERPRINTED_RE = re.compile(
@@ -362,10 +362,10 @@ def check_fingerprint_completeness(
                         line,
                         f"field {name} of fingerprinted config "
                         f"{node.name} is neither listed in "
-                        f"{declaration} (so it never reaches "
-                        "checkpoint_fingerprint — a resumed search "
-                        "would silently splice two settings) nor "
-                        "annotated '# repro: non-trajectory[reason]'",
+                        f"{declaration} (so it never reaches the "
+                        "trajectory fingerprint — two runs that differ "
+                        "in it would share one) nor annotated "
+                        "'# repro: non-trajectory[reason]'",
                     )
                 elif not in_declaration and reason == "":
                     yield info.finding(
@@ -384,8 +384,8 @@ def check_fingerprint_completeness(
                         f"{declaration} lists {name!r}, which is not a "
                         f"field of {node.name} — deleting or renaming "
                         "a fingerprinted knob must update the "
-                        "trajectory declaration (old checkpoints then "
-                        "refuse resume, as intended)",
+                        "trajectory declaration (the fingerprint then "
+                        "changes, as intended)",
                     )
 
 

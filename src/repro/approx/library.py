@@ -27,17 +27,12 @@ from repro.approx.metrics import (
     compute_error_metrics,
     gaussian_operand_distribution,
 )
-from repro.approx.nsga2 import NSGA2_TRAJECTORY_FIELDS, Nsga2, Nsga2Config
+from repro.approx.nsga2 import Nsga2, Nsga2Config
 from repro.approx.precision import truncate_inputs
 from repro.approx.pruning import BatchedPruningObjectives, PruningSpace
 from repro.circuits.area import netlist_area_um2, netlist_delay_ps, netlist_ge
 from repro.circuits.synthesis import ArithmeticCircuit, make_multiplier
 from repro.engine.backends import ThreadBackend, register_pool_context_provider
-from repro.engine.checkpoint import (
-    CheckpointStore,
-    checkpoint_fingerprint,
-    trajectory_parts,
-)
 from repro.engine.diskcache import FitnessDiskCache, context_fingerprint
 from repro.engine.population import EngineConfig
 from repro.engine.vectorized import pareto_front_np
@@ -192,8 +187,6 @@ def _pruning_pareto(
     kind: str = "wallace",
     engine: Optional[EngineConfig] = None,
     cache_dir: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
 ) -> List[ApproxMultiplier]:
     """NSGA-II search over pruning masks of one base circuit.
 
@@ -209,14 +202,8 @@ def _pruning_pareto(
     fingerprint of everything they depend on; cached hits skip circuit
     simulation, and the (deterministic) circuit artifacts of the final
     front are re-derived on demand for entries whose objectives came
-    from the cache.
-
-    With ``checkpoint_dir`` set, the NSGA-II loop snapshots its state
-    after every generation; ``resume=True`` additionally picks a killed
-    search back up at the last finished generation (bit-identical front
-    — see :mod:`repro.engine.checkpoint`).  The checkpoint slot is
-    keyed by the same identity as the objective cache, so a search
-    resumed under changed settings refuses loudly instead of splicing.
+    from the cache.  The cache is flushed once, after the search, so a
+    crash loses at most this search's objectives.
     """
     space = PruningSpace(base, max_candidates=max_candidates)
     artifacts: Dict[Tuple[int, ...], Tuple[ArithmeticCircuit, np.ndarray]] = {}
@@ -228,31 +215,12 @@ def _pruning_pareto(
     disk = (
         FitnessDiskCache(
             cache_dir,
-            # a genome's objectives depend only on the circuit context,
-            # not on search hyper-parameters, so the objective cache
-            # deliberately keys on less than the checkpoint does
             context_fingerprint(
                 "library-pruning", width, kind, origin,
                 seed, population, generations, max_candidates,
             ),
         )
         if cache_dir is not None
-        else None
-    )
-    store = (
-        CheckpointStore(
-            checkpoint_dir,
-            name=f"pruning-{origin}-{base.netlist.name}",
-            # the checkpoint, unlike the objective cache, protects the
-            # search *trajectory*: every Nsga2Config field must key it
-            # (trajectory_parts covers crossover/mutation rates, which
-            # the pre-FPR001 fingerprint silently omitted)
-            fingerprint=checkpoint_fingerprint(
-                "library-pruning", width, kind, origin, max_candidates,
-                trajectory_parts(search_config, NSGA2_TRAJECTORY_FIELDS),
-            ),
-        )
-        if checkpoint_dir is not None
         else None
     )
 
@@ -332,8 +300,6 @@ def _pruning_pareto(
         search_config,
         engine=engine_config,
         batch_evaluate=batch_evaluate,
-        checkpoint=store,
-        resume_from=store if resume else None,
     )
     front = search.run()
     if disk is not None:
@@ -384,8 +350,6 @@ def build_library(
     use_cache: bool = True,
     engine: Optional[EngineConfig] = None,
     cache_dir: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
 ) -> ApproxLibrary:
     """Run the full step-1 flow and return the Pareto library.
 
@@ -417,16 +381,12 @@ def build_library(
         cache_dir: optional directory for the on-disk objective cache,
             so rebuilding the same library in a fresh process (or a
             forked grid worker) skips re-simulating pruned circuits.
-        checkpoint_dir: optional directory for per-generation search
-            checkpoints; each pruning search (``pruned`` and, with
-            ``hybrid``, the second search) owns one atomically-replaced
-            slot there.  Like ``cache_dir``, checkpointing changes
-            speed after a crash, never results, so it is not part of
-            the memo key.
-        resume: resume killed searches from their ``checkpoint_dir``
-            slots; the finished library is bit-identical to an
-            uninterrupted build (mismatched settings refuse with
-            :class:`~repro.errors.CheckpointError`).
+            It is also the crash-recovery path: each pruning search
+            flushes its objectives atomically when it finishes, so a
+            rebuild after a crash recomputes only the search that was
+            in flight and returns a bit-identical library.  Like
+            ``engine``, it changes speed, never results, so it is not
+            part of the memo key.
     """
     key = (
         width, kind, seed, population, generations, max_candidates,
@@ -493,7 +453,6 @@ def build_library(
             exact_circuit, width, dnn_weights, "pruned",
             seed, population, generations, max_candidates,
             kind=kind, engine=engine, cache_dir=cache_dir,
-            checkpoint_dir=checkpoint_dir, resume=resume,
         )
     )
 
@@ -505,7 +464,6 @@ def build_library(
                 seed + 1, max(population // 2, 8),
                 max(generations // 2, 6), max_candidates,
                 kind=kind, engine=engine, cache_dir=cache_dir,
-                checkpoint_dir=checkpoint_dir, resume=resume,
             )
         )
 

@@ -13,7 +13,11 @@ the optimiser itself runs on the numpy-vectorized equivalents in
 :mod:`repro.engine.vectorized`, which the property tests hold to exact
 agreement with the reference.
 
-All objectives are minimised.
+All objectives are minimised.  A run keeps no state outside its
+process: a killed search is recovered by rerunning it, which replays
+the same RNG draws, over whatever objective disk cache the caller
+keeps (the step-1 library's, see
+:func:`repro.approx.library.build_library`).
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.checkpoint import CheckpointStore, restore_rng_state
 from repro.engine.population import EngineConfig, PopulationEvaluator
 from repro.engine.vectorized import (
     crowding_distance_np,
@@ -32,32 +35,15 @@ from repro.engine.vectorized import (
     ranks_and_crowding,
     uniform_crossover,
 )
-from repro.errors import CheckpointError, OptimizationError
+from repro.errors import OptimizationError
 
 Genome = Tuple[int, ...]
 Objectives = Tuple[float, ...]
 
 
-#: Trajectory declaration for :class:`Nsga2Config` (see the FPR001
-#: rule in :mod:`repro.analysis`): all five fields shape the search
-#: trajectory and must feed the checkpoint fingerprint via
-#: :func:`repro.engine.checkpoint.trajectory_parts`.
-NSGA2_TRAJECTORY_FIELDS = (
-    "population_size",
-    "generations",
-    "crossover_rate",
-    "mutation_rate",
-    "seed",
-)
-
-
 @dataclass(frozen=True)
-class Nsga2Config:  # repro: fingerprinted[NSGA2_TRAJECTORY_FIELDS]
+class Nsga2Config:
     """NSGA-II hyper-parameters.
-
-    Every field is trajectory-determining
-    (``NSGA2_TRAJECTORY_FIELDS``): changing any of them must refuse
-    to resume an old checkpoint.
 
     Attributes:
         population_size: individuals per generation (even, >= 4).
@@ -181,13 +167,6 @@ class Nsga2:
             the population-batched pruning evaluator).  Must return
             objectives bit-identical to mapping ``evaluate``; selected
             by engine modes ``batch`` and ``auto``.
-        checkpoint: optional store snapshotting population, scores,
-            the objective memo, and the exact RNG state after every
-            generation (crash-safe atomic writes).
-        resume_from: optional store to resume a killed run from; a
-            matching snapshot restores the loop exactly, so the final
-            front is bit-identical to an uninterrupted run.  Typically
-            the same store as ``checkpoint``.
     """
 
     def __init__(
@@ -201,12 +180,8 @@ class Nsga2:
         batch_evaluate: Optional[
             Callable[[Sequence[Genome]], Sequence[Objectives]]
         ] = None,
-        checkpoint: Optional[CheckpointStore] = None,
-        resume_from: Optional[CheckpointStore] = None,
     ):
         self.config = config or Nsga2Config()
-        self.checkpoint = checkpoint
-        self.resume_from = resume_from
         self._evaluate_fn = evaluate
         self._random_genome = random_genome
         self._mutate_fn = mutate or self._default_mutate
@@ -272,69 +247,22 @@ class Nsga2:
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
 
-        state = (
-            self.resume_from.load(algorithm="nsga2")
-            if self.resume_from is not None
-            else None
-        )
-        if state is not None:
-            payload = state.payload
-            if payload["config"] != cfg:
-                raise CheckpointError(
-                    f"checkpoint {self.resume_from.path} was written under "
-                    f"{payload['config']}, cannot resume with {cfg}"
-                )
-            population = list(payload["population"])
-            scores = list(payload["scores"])
-            # restoring the memo keeps the evaluation count — and any
-            # re-visited genome's objectives — identical to a run that
-            # never crashed
-            for genome, objectives in payload["cache"]:
-                self._cache.setdefault(genome, objectives)
-            start_generation = state.generation
-            restore_rng_state(rng, state.rng_state)
-        else:
-            population = [
-                self._random_genome(rng) for _ in range(cfg.population_size)
-            ]
-            scores = self._population_evaluator(population)
-            start_generation = 0
-            self._save(0, rng, population, scores)
+        population = [
+            self._random_genome(rng) for _ in range(cfg.population_size)
+        ]
+        scores = self._population_evaluator(population)
 
-        for generation in range(start_generation, cfg.generations):
+        for _ in range(cfg.generations):
             offspring = self._make_offspring(population, scores, rng)
             combined = population + offspring
             combined_scores = scores + self._population_evaluator(offspring)
             population, scores = self._select_survivors(
                 combined, combined_scores, cfg.population_size
             )
-            self._save(generation + 1, rng, population, scores)
 
         front = pareto_front_np(list(zip(population, scores)))
         front.sort(key=lambda item: item[1])
         return [(g, obj) for g, obj in front]  # type: ignore[misc]
-
-    def _save(
-        self,
-        generation: int,
-        rng: np.random.Generator,
-        population: List[Genome],
-        scores: List[Objectives],
-    ) -> None:
-        """Snapshot the complete loop state after a finished generation."""
-        if self.checkpoint is None:
-            return
-        self.checkpoint.save(
-            algorithm="nsga2",
-            generation=generation,
-            rng=rng,
-            payload={
-                "config": self.config,
-                "population": list(population),
-                "scores": list(scores),
-                "cache": sorted(self._cache.items()),
-            },
-        )
 
     def _make_offspring(
         self,

@@ -25,6 +25,13 @@ results)::
 ``--kernel-tier {auto,numpy,c}`` picks the compiled-kernel tier for the
 batched hot loops (every tier prints identical results).
 
+``--cache-dir DIR`` persists every scored genome under ``DIR``.  It is
+the crash-recovery path: rerun a killed command with the same
+directory and it recomputes only the search that was in flight, with
+byte-identical output::
+
+    python -m repro pareto-sweep --fast --cache-dir cache
+
 The ``accuracy`` command runs the behavioural accuracy study (measured
 drop per library multiplier plus the analytical-vs-behavioural rank
 agreement) and exposes the accuracy-stage execution knobs:
@@ -58,15 +65,8 @@ def _settings(args: argparse.Namespace):
         # workers inherit the same tier
         settings = replace(settings, kernel_tier=args.kernel_tier)
         os.environ[KERNEL_TIER_ENV] = args.kernel_tier
-    checkpoint_overrides = {}
-    if getattr(args, "checkpoint_dir", None) is not None:
-        checkpoint_overrides["checkpoint_dir"] = args.checkpoint_dir
-    if getattr(args, "resume", False):
-        checkpoint_overrides["resume"] = True
-    if checkpoint_overrides:
-        # replace() re-runs __post_init__, which rejects --resume
-        # without --checkpoint-dir before any search starts
-        settings = replace(settings, **checkpoint_overrides)
+    if getattr(args, "cache_dir", None) is not None:
+        settings = replace(settings, cache_dir=args.cache_dir)
     grid_overrides = {}
     if getattr(args, "grid_mode", None) is not None:
         grid_overrides["grid_mode"] = args.grid_mode
@@ -306,15 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="reduced search sizes for smoke runs",
         )
         p.add_argument(
-            "--checkpoint-dir", default=None, metavar="DIR",
-            help="snapshot every search generation under DIR (atomic "
-            "writes; a killed run keeps its finished generations)",
-        )
-        p.add_argument(
-            "--resume", action="store_true",
-            help="resume killed searches from --checkpoint-dir; results "
-            "are bit-identical to an uninterrupted run, and a "
-            "checkpoint written under different settings is refused",
+            "--cache-dir", default=None, metavar="DIR",
+            help="persist every scored genome under DIR (atomic "
+            "writes); a rerun over DIR, after a finished or a killed "
+            "run, skips the finished searches and prints identical "
+            "results",
         )
         p.add_argument(
             "--kernel-tier", default=None, metavar="TIER",

@@ -20,20 +20,10 @@ from repro.approx.library import ApproxLibrary, build_library
 from repro.core.baselines import design_point_for
 from repro.core.results import DesignPoint
 from repro.dataflow.network import Network
-from repro.engine.checkpoint import (
-    CheckpointStore,
-    checkpoint_fingerprint,
-    trajectory_parts,
-)
 from repro.engine.population import EngineConfig, PopulationEvaluator
 from repro.errors import OptimizationError
 from repro.ga.chromosome import space_for_library
-from repro.ga.engine import (
-    GA_TRAJECTORY_FIELDS,
-    GaConfig,
-    GaOutcome,
-    GeneticAlgorithm,
-)
+from repro.ga.engine import GaConfig, GaOutcome, GeneticAlgorithm
 from repro.ga.fitness import FitnessEvaluator
 from repro.nn.zoo import workload
 
@@ -76,13 +66,10 @@ class CarbonAwareDesigner:
             resolves to the vectorized batch path; every mode returns
             bit-identical designs to the serial reference.
         cache_dir: optional directory for the on-disk fitness cache, so
-            repeated runs of the same design problem warm-start.
-        checkpoint_dir: optional directory for per-generation GA
-            checkpoints; a killed run keeps its finished generations.
-        resume: pick a killed run back up from ``checkpoint_dir``
-            (bit-identical to an uninterrupted run; a checkpoint
-            written under different settings refuses with
-            :class:`~repro.errors.CheckpointError`).
+            repeated runs of the same design problem warm-start.  The
+            cache is flushed once per run, so rerunning a killed
+            harness over the same directory recovers every finished
+            design problem from disk, with bit-identical results.
     """
 
     network: Union[str, Network]
@@ -96,39 +83,6 @@ class CarbonAwareDesigner:
     fitness_mode: str = "deadline_cdp"
     engine: Optional[EngineConfig] = None
     cache_dir: Optional[str] = None
-    checkpoint_dir: Optional[str] = None
-    resume: bool = False
-
-    def _checkpoint_store(
-        self, net: Network, library: ApproxLibrary
-    ) -> Optional[CheckpointStore]:
-        """One checkpoint slot per design problem.
-
-        The name keys the slot to the problem (network, node,
-        thresholds, grid, seed); the fingerprint additionally covers
-        every setting the search trajectory depends on — GA
-        hyper-parameters, fitness mode, and the library identity — so a
-        resume under changed settings is refused rather than spliced.
-        """
-        if self.checkpoint_dir is None:
-            return None
-        cfg = self.ga_config
-        name = (
-            f"ga-cdp-{net.name}-n{self.node_nm}-fps{self.min_fps:g}"
-            f"-drop{self.max_drop_percent:g}-{self.grid}-s{cfg.seed}"
-        )
-        fingerprint = checkpoint_fingerprint(
-            "ga-cdp",
-            net.name,
-            self.node_nm,
-            self.min_fps,
-            self.max_drop_percent,
-            str(self.grid),
-            self.fitness_mode,
-            trajectory_parts(cfg, GA_TRAJECTORY_FIELDS),
-            tuple(m.name for m in library.multipliers),
-        )
-        return CheckpointStore(self.checkpoint_dir, name, fingerprint)
 
     def _baseline_seeds(self, library: ApproxLibrary, space) -> list:
         """NVDLA-family geometries as GA seeds.
@@ -204,15 +158,12 @@ class CarbonAwareDesigner:
             # memo/disk caches so flush_cache() still persists results
             store=evaluator.store,
         )
-        store = self._checkpoint_store(net, library)
         ga = GeneticAlgorithm(
             space,
             evaluator.evaluate,
             self.ga_config,
             seeds=self._baseline_seeds(library, space),
             population_evaluate=population_evaluate,
-            checkpoint=store,
-            resume_from=store if self.resume else None,
         )
         outcome = ga.run()
         evaluator.flush_cache()

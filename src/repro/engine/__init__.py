@@ -18,7 +18,10 @@ that make the searches fast without changing a single result:
   :func:`repro.dataflow.performance.evaluate_network`;
 * :mod:`repro.engine.diskcache` — :class:`FitnessDiskCache`: opt-in
   on-disk memoisation keyed by a hash of (genome, network, node,
-  constraints, grid) so repeated experiment runs warm-start;
+  constraints, grid) so repeated experiment runs warm-start.  It is
+  also the crash-recovery path: every flush is an atomic replace, so a
+  killed run rerun over the same directory recomputes only the search
+  that was in flight and returns byte-identical results;
 * :mod:`repro.engine.backends` — the dispatch layer: the ``serial``,
   ``thread`` and persistent warm ``process`` backends (the pool is
   context-fingerprinted, so a library-settings change reforks stale
@@ -29,15 +32,7 @@ that make the searches fast without changing a single result:
 * :mod:`repro.engine.grid` — :class:`GridRunner`: experiment cells
   sharded across the configured backend with deterministically ordered
   results regardless of shard count or worker count; ``run(plan)`` over
-  an :class:`ExecutionPlan` is the one execution entry point;
-* :mod:`repro.engine.checkpoint` — :class:`CheckpointStore`:
-  versioned, atomically-replaced per-generation search snapshots
-  (population, objectives, exact RNG state) behind a settings
-  fingerprint, so killed searches resume bit-identically and
-  mismatched-settings resumes refuse loudly;
-* :mod:`repro.engine.faults` — deterministic fault injection
-  (``REPRO_FAULTS=kill@gen:N``) driving the SIGKILL-and-resume tests
-  and the ``chaos`` CI job.
+  an :class:`ExecutionPlan` is the one execution entry point.
 
 Every fast path keeps its serial counterpart in-tree as the reference
 implementation; the property tests under ``tests/engine`` assert exact
@@ -48,16 +43,16 @@ Static invariants
 
 The contracts this package lives by — seeded RNG only, no wall-clock
 or other nondeterministic inputs on engine paths, picklable callables
-at backend boundaries, complete settings fingerprints on checkpointed
-configs, all-or-none kernel-tier registrations — are enforced by an
-AST checker, :mod:`repro.analysis` (``python -m repro.analysis src
-benchmarks`` or ``repro lint-invariants``), which CI runs as a required
-job.  Rule codes: RNG001, NDT001, PKL001, FPR001, KRN001, SUP001; a
-finding is silenced with a trailing ``# repro: noqa[CODE]`` whose code
-must name a registered rule.  See the "Static invariants" section of
-``PERF.md`` for the full inventory and the fingerprint-declaration
-syntax (``# repro: fingerprinted[DECL]`` /
-``# repro: non-trajectory[reason]``).
+at backend boundaries, a complete trajectory declaration on the
+fingerprinted experiment settings, all-or-none kernel-tier
+registrations — are enforced by an AST checker, :mod:`repro.analysis`
+(``python -m repro.analysis src benchmarks`` or ``repro
+lint-invariants``), which CI runs as a required job.  Rule codes:
+RNG001, NDT001, PKL001, FPR001, KRN001, SUP001; a finding is silenced
+with a trailing ``# repro: noqa[CODE]`` whose code must name a
+registered rule.  See the "Static invariants" section of ``PERF.md``
+for the full inventory and the fingerprint-declaration syntax
+(``# repro: fingerprinted[DECL]`` / ``# repro: non-trajectory[reason]``).
 """
 
 from repro.engine.backends import (
@@ -71,15 +66,7 @@ from repro.engine.backends import (
     shutdown_shared_pools,
 )
 from repro.engine.batch import BatchNetworkEvaluator
-from repro.engine.checkpoint import (
-    Checkpoint,
-    CheckpointStore,
-    capture_rng_state,
-    checkpoint_fingerprint,
-    restore_rng_state,
-)
 from repro.engine.diskcache import FitnessDiskCache
-from repro.engine.faults import FaultInjector, parse_faults
 from repro.engine.grid import ExecutionPlan, GridConfig, GridRunner
 from repro.engine.population import EngineConfig, PopulationEvaluator
 from repro.engine.vectorized import (
@@ -92,10 +79,7 @@ from repro.engine.vectorized import (
 
 __all__ = [
     "BatchNetworkEvaluator",
-    "Checkpoint",
-    "CheckpointStore",
     "ExecutionPlan",
-    "FaultInjector",
     "FitnessDiskCache",
     "GridConfig",
     "GridRunner",
@@ -103,10 +87,6 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "capture_rng_state",
-    "checkpoint_fingerprint",
-    "parse_faults",
-    "restore_rng_state",
     "current_pool_context",
     "register_pool_context_provider",
     "shared_process_pool",

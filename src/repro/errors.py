@@ -59,8 +59,3 @@ class ConstraintError(ReproError):
 
 class ExperimentError(ReproError):
     """An experiment harness was invoked with invalid settings."""
-
-
-class CheckpointError(ReproError):
-    """A search checkpoint cannot be resumed (mismatched settings,
-    incompatible version, or a store misconfiguration)."""

@@ -21,6 +21,7 @@ from repro.accuracy.predictor import AccuracyPredictor
 from repro.approx.library import ApproxLibrary, build_library
 from repro.core.designer import CarbonAwareDesigner
 from repro.core.results import DesignPoint
+from repro.engine.diskcache import context_fingerprint
 from repro.engine.grid import GridConfig, GridRunner
 from repro.engine.population import EngineConfig
 from repro.errors import ExperimentError
@@ -74,14 +75,9 @@ class ExperimentSettings:  # repro: fingerprinted[SETTINGS_TRAJECTORY_FIELDS]
             re-running a harness (or another harness sharing settings)
             warm-starts instead of re-simulating.  Also feeds the step-1
             library build, whose NSGA-II objectives persist per context.
-        checkpoint_dir: optional directory for per-generation search
-            checkpoints (library NSGA-II and every GA-CDP run); a
-            killed harness keeps its finished generations.
-        resume: resume killed searches from their ``checkpoint_dir``
-            slots — bit-identical results to an uninterrupted run;
-            requires ``checkpoint_dir``, and a slot written under
-            different settings refuses with
-            :class:`~repro.errors.CheckpointError`.
+            This is the crash-recovery path: rerun a killed harness
+            with the same ``cache_dir`` and it recomputes only the
+            search that was in flight, with byte-identical output.
         grid_mode: execution backend for the experiment grids
             (``auto`` / ``serial`` / ``thread`` / ``process``; every
             backend returns identical, identically ordered results).
@@ -95,8 +91,7 @@ class ExperimentSettings:  # repro: fingerprinted[SETTINGS_TRAJECTORY_FIELDS]
             ``REPRO_KERNEL_TIER`` default; see
             :mod:`repro.engine.kernels`).  Every tier returns
             bit-identical results; an unavailable tier degrades to
-            numpy with a warning, so it is not part of any cache or
-            checkpoint key.
+            numpy with a warning, so it is not part of any cache key.
         accuracy_mode: execution backend for the behavioural accuracy
             stage (``auto`` / ``serial`` / ``thread`` / ``process``) —
             library scoring shards multiplier sub-stacks across it,
@@ -124,10 +119,6 @@ class ExperimentSettings:  # repro: fingerprinted[SETTINGS_TRAJECTORY_FIELDS]
     engine_mode: str = "auto"
     # repro: non-trajectory[cache location: warm-start only, results equal]
     cache_dir: Optional[str] = None
-    # repro: non-trajectory[durability location: results bit-identical]
-    checkpoint_dir: Optional[str] = None
-    # repro: non-trajectory[resume is bit-identical to an unkilled run]
-    resume: bool = False
     # repro: non-trajectory[execution policy: every backend bit-identical]
     grid_mode: str = "auto"
     # repro: non-trajectory[execution policy: every backend bit-identical]
@@ -155,30 +146,23 @@ class ExperimentSettings:  # repro: fingerprinted[SETTINGS_TRAJECTORY_FIELDS]
         from repro.engine.kernels import validate_kernel_tier
 
         validate_kernel_tier(self.kernel_tier)  # fail fast on typos
-        if self.resume and self.checkpoint_dir is None:
-            raise ExperimentError(
-                "resume=True needs checkpoint_dir: there is nowhere to "
-                "resume from"
-            )
 
     def trajectory_fingerprint(self) -> str:
         """Digest of every trajectory-determining setting.
 
-        Built from exactly ``SETTINGS_TRAJECTORY_FIELDS`` via
-        :func:`repro.engine.checkpoint.trajectory_parts`, so two
-        settings objects share a fingerprint iff they run the same
-        searches — execution policy (backends, workers, kernel tiers,
-        cache/checkpoint locations) never perturbs it.  This is the
-        stable job key for anything persisting results across runs.
+        Built from exactly the ``(name, value)`` pairs of
+        ``SETTINGS_TRAJECTORY_FIELDS``, so two settings objects share a
+        fingerprint iff they run the same searches — execution policy
+        (backends, workers, kernel tiers, the cache location) never
+        perturbs it, and renaming a declared field changes it.  This is
+        the stable job key for a run's provenance manifest.
         """
-        from repro.engine.checkpoint import (
-            checkpoint_fingerprint,
-            trajectory_parts,
-        )
-
-        return checkpoint_fingerprint(
+        return context_fingerprint(
             "experiment-settings",
-            trajectory_parts(self, SETTINGS_TRAJECTORY_FIELDS),
+            tuple(
+                (name, getattr(self, name))
+                for name in SETTINGS_TRAJECTORY_FIELDS
+            ),
         )
 
     def library(self) -> ApproxLibrary:
@@ -194,8 +178,6 @@ class ExperimentSettings:  # repro: fingerprinted[SETTINGS_TRAJECTORY_FIELDS]
             seed=self.seed,
             engine=self.engine(),
             cache_dir=self.cache_dir,
-            checkpoint_dir=self.checkpoint_dir,
-            resume=self.resume,
         )
 
     def ga_config(self, seed_offset: int = 0) -> GaConfig:
@@ -211,13 +193,8 @@ class ExperimentSettings:  # repro: fingerprinted[SETTINGS_TRAJECTORY_FIELDS]
         return EngineConfig(mode=self.engine_mode, kernel_tier=self.kernel_tier)
 
     def designer_kwargs(self) -> dict:
-        """Engine/cache/checkpoint kwargs shared by every GA-CDP run."""
-        return {
-            "engine": self.engine(),
-            "cache_dir": self.cache_dir,
-            "checkpoint_dir": self.checkpoint_dir,
-            "resume": self.resume,
-        }
+        """Engine/cache kwargs shared by every GA-CDP run."""
+        return {"engine": self.engine(), "cache_dir": self.cache_dir}
 
     def grid_runner(self) -> GridRunner:
         """Cell-dispatch policy for the experiment grids."""

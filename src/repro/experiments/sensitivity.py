@@ -76,12 +76,7 @@ def _ga_vs_exact(
         grid=grid,
         # no cache_dir: the yield sweep patches DEFAULT_YIELD_MODEL, which
         # changes fitness without changing the cache fingerprint
-        # (checkpoint_dir is safe — _reject_fitness_cache strips it from
-        # the global-patching sweeps before any cell runs, and the grid
-        # value is part of the checkpoint slot identity)
         engine=settings.engine(),
-        checkpoint_dir=settings.checkpoint_dir,
-        resume=settings.resume,
     ).run().best
     saving = 100.0 * (1.0 - ga.carbon_g / exact.carbon_g)
     return exact.carbon_g, ga.carbon_g, saving
@@ -90,38 +85,27 @@ def _ga_vs_exact(
 def _reject_fitness_cache(
     settings: ExperimentSettings, sweep: str
 ) -> ExperimentSettings:
-    """Disable the on-disk stores for a global-patching sweep.
+    """Disable the on-disk fitness cache for a global-patching sweep.
 
     The yield and bandwidth sweeps patch module globals
-    (``DEFAULT_YIELD_MODEL`` / ``DRAM_BANDWIDTH_GB_S``) that neither
-    the disk cache's context fingerprint nor the search-checkpoint
-    fingerprint can see: fitness computed under a patched global would
-    be stored — and later served — under the *unpatched* context,
-    silently corrupting both this sweep and every later run sharing the
-    directory; a search checkpoint taken under a patched global would
-    likewise be resumed into an unpatched process.  A comment used to
-    be the only guard; now ``cache_dir`` and ``checkpoint_dir`` are
-    stripped with a loud warning before any cell runs.
+    (``DEFAULT_YIELD_MODEL`` / ``DRAM_BANDWIDTH_GB_S``) that the disk
+    cache's context fingerprint cannot see: fitness computed under a
+    patched global would be stored — and later served — under the
+    *unpatched* context, silently corrupting both this sweep and every
+    later run sharing the directory.  So ``cache_dir`` is stripped,
+    with a loud warning, before any cell runs.
     """
-    if settings.cache_dir is None and settings.checkpoint_dir is None:
+    if settings.cache_dir is None:
         return settings
-    stripped = [
-        f"{field}={value!r}"
-        for field, value in (
-            ("cache_dir", settings.cache_dir),
-            ("checkpoint_dir", settings.checkpoint_dir),
-        )
-        if value is not None
-    ]
     warnings.warn(
-        f"{sweep} patches module globals the on-disk stores cannot "
-        f"fingerprint; ignoring {', '.join(stripped)} for this sweep "
-        "(persisted results would be computed under patched models and "
-        "corrupt later runs)",
+        f"{sweep} patches module globals the on-disk cache cannot "
+        f"fingerprint; ignoring cache_dir={settings.cache_dir!r} for this "
+        "sweep (persisted results would be computed under patched models "
+        "and corrupt later runs)",
         RuntimeWarning,
         stacklevel=3,
     )
-    return replace(settings, cache_dir=None, checkpoint_dir=None, resume=False)
+    return replace(settings, cache_dir=None)
 
 
 def _patch_local_settings(settings: ExperimentSettings) -> ExperimentSettings:

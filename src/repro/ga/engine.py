@@ -5,13 +5,10 @@ Tournament selection compares individuals with Deb's rules (see
 mutation delegate to the chromosome space, and the best-ever individual
 is kept elitist.  Runs are deterministic in the seed.
 
-Crash safety: with a ``checkpoint=`` store the driver snapshots its
-complete loop state — population, fitness results, elite, history,
-distinct-genome set, and the exact RNG generator state — after the
-initial evaluation and after every generation; ``resume_from=`` picks a
-killed run back up at the last finished generation with a final outcome
-bit-identical to an uninterrupted run (fingerprint-guarded, see
-:mod:`repro.engine.checkpoint`).
+Crash recovery lives in the fitness disk cache, not here: a killed run
+rerun over the same ``cache_dir`` replays the same RNG draws and reads
+every already-scored genome back from disk (see
+:mod:`repro.engine.diskcache`).
 """
 
 from __future__ import annotations
@@ -21,32 +18,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.checkpoint import CheckpointStore, restore_rng_state
-from repro.errors import CheckpointError, OptimizationError
+from repro.errors import OptimizationError
 from repro.ga.chromosome import ChromosomeSpace, Genome
 from repro.ga.fitness import FitnessResult
 
 
-#: Trajectory declaration for :class:`GaConfig` (see the FPR001 rule
-#: in :mod:`repro.analysis`): every one of these fields shapes the
-#: search trajectory, so all of them feed the checkpoint fingerprint
-#: through :func:`repro.engine.checkpoint.trajectory_parts`.
-GA_TRAJECTORY_FIELDS = (
-    "population_size",
-    "generations",
-    "crossover_rate",
-    "mutation_rate",
-    "tournament_size",
-    "seed",
-)
-
-
 @dataclass(frozen=True)
-class GaConfig:  # repro: fingerprinted[GA_TRAJECTORY_FIELDS]
+class GaConfig:
     """GA hyper-parameters.
-
-    Every field is trajectory-determining (``GA_TRAJECTORY_FIELDS``):
-    changing any of them must refuse to resume an old checkpoint.
 
     Attributes:
         population_size: individuals per generation.
@@ -119,13 +98,6 @@ class GeneticAlgorithm:
             :meth:`repro.ga.fitness.FitnessEvaluator.evaluate_population`);
             must return results bit-identical to mapping ``evaluate``
             over the generation.  Defaults to the serial reference path.
-        checkpoint: optional store snapshotting the full loop state
-            after every generation (crash-safe atomic writes).
-        resume_from: optional store to resume a killed run from; a
-            matching snapshot restores population, results, elite,
-            history, and the exact RNG state, so the finished run is
-            bit-identical to one that never crashed.  Typically the
-            same store as ``checkpoint``.
     """
 
     def __init__(
@@ -137,16 +109,12 @@ class GeneticAlgorithm:
         population_evaluate: Optional[
             Callable[[Sequence[Genome]], List[FitnessResult]]
         ] = None,
-        checkpoint: Optional[CheckpointStore] = None,
-        resume_from: Optional[CheckpointStore] = None,
     ):
         self.space = space
         self.evaluate = evaluate
         self.config = config or GaConfig()
         self.seeds = list(seeds or [])
         self.population_evaluate = population_evaluate
-        self.checkpoint = checkpoint
-        self.resume_from = resume_from
         for genome in self.seeds:
             space.validate(genome)
 
@@ -162,41 +130,17 @@ class GeneticAlgorithm:
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
 
-        state = (
-            self.resume_from.load(algorithm="ga")
-            if self.resume_from is not None
-            else None
-        )
-        if state is not None:
-            payload = state.payload
-            if payload["config"] != cfg:
-                raise CheckpointError(
-                    f"checkpoint {self.resume_from.path} was written under "
-                    f"{payload['config']}, cannot resume with {cfg}"
-                )
-            population = list(payload["population"])
-            results = list(payload["results"])
-            best = payload["best"]
-            history = list(payload["history"])
-            distinct = set(payload["distinct"])
-            start_generation = state.generation
-            restore_rng_state(rng, state.rng_state)
-        else:
-            population = list(self.seeds[: cfg.population_size])
-            population += [
-                self.space.random_genome(rng)
-                for _ in range(cfg.population_size - len(population))
-            ]
-            results = self._evaluate_population(population)
-            best = self._best_of(results)
-            history = []
-            distinct = set(population)
-            start_generation = 0
-            # generation 0: a crash during generation 1 resumes here
-            # instead of re-drawing and re-scoring the initial population
-            self._save(0, rng, population, results, best, history, distinct)
+        population = list(self.seeds[: cfg.population_size])
+        population += [
+            self.space.random_genome(rng)
+            for _ in range(cfg.population_size - len(population))
+        ]
+        results = self._evaluate_population(population)
+        best = self._best_of(results)
+        history: List[FitnessResult] = []
+        distinct = set(population)
 
-        for generation in range(start_generation, cfg.generations):
+        for _ in range(cfg.generations):
             offspring: List[Genome] = [best.genome]  # elitism
             while len(offspring) < cfg.population_size:
                 mother = self._tournament(population, results, rng)
@@ -215,43 +159,11 @@ class GeneticAlgorithm:
             if generation_best.better_than(best):
                 best = generation_best
             history.append(best)
-            self._save(
-                generation + 1, rng, population, results, best, history, distinct
-            )
 
         return GaOutcome(
             best=best,
             history=tuple(history),
             evaluations=len(distinct),
-        )
-
-    # ------------------------------------------------------------------
-
-    def _save(
-        self,
-        generation: int,
-        rng: np.random.Generator,
-        population: List[Genome],
-        results: List[FitnessResult],
-        best: FitnessResult,
-        history: List[FitnessResult],
-        distinct: set,
-    ) -> None:
-        """Snapshot the complete loop state after a finished generation."""
-        if self.checkpoint is None:
-            return
-        self.checkpoint.save(
-            algorithm="ga",
-            generation=generation,
-            rng=rng,
-            payload={
-                "config": self.config,
-                "population": list(population),
-                "results": list(results),
-                "best": best,
-                "history": list(history),
-                "distinct": sorted(distinct),
-            },
         )
 
     def _tournament(

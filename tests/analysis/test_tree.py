@@ -1,16 +1,9 @@
 """Whole-tree gates: the shipped tree is clean, and the static
-fingerprint contract is honored by the runtime helpers it documents."""
+fingerprint contract is honored by the runtime fingerprint it guards."""
 
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import run_analysis
-from repro.engine.checkpoint import (
-    checkpoint_fingerprint,
-    trajectory_parts,
-)
-from repro.errors import CheckpointError
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -33,48 +26,16 @@ class TestTreeIsClean:
         assert report.findings == []
 
 
-class TestTrajectoryParts:
-    def test_parts_are_named_pairs(self):
-        from repro.ga.engine import GA_TRAJECTORY_FIELDS, GaConfig
-
-        parts = trajectory_parts(GaConfig(seed=5), GA_TRAJECTORY_FIELDS)
-        assert ("seed", 5) in parts
-        assert [name for name, _value in parts] == list(
-            GA_TRAJECTORY_FIELDS
-        )
-
-    def test_unknown_field_raises(self):
-        from repro.ga.engine import GaConfig
-
-        with pytest.raises(CheckpointError, match="not a field"):
-            trajectory_parts(GaConfig(), ("population_size", "vanished"))
-
-    def test_every_declared_field_perturbs_the_fingerprint(self):
-        # the runtime half of FPR001: change any declared field, get a
-        # different fingerprint (and therefore a refused resume)
-        from repro.approx.nsga2 import NSGA2_TRAJECTORY_FIELDS, Nsga2Config
-
-        perturbed = {
-            "population_size": 34,
-            "generations": 25,
-            "crossover_rate": 0.8,
-            "mutation_rate": 0.5,
-            "seed": 1,
-        }
-        assert set(perturbed) == set(NSGA2_TRAJECTORY_FIELDS)
-        base = checkpoint_fingerprint(
-            trajectory_parts(Nsga2Config(), NSGA2_TRAJECTORY_FIELDS)
-        )
-        for field, value in perturbed.items():
-            changed = checkpoint_fingerprint(
-                trajectory_parts(
-                    Nsga2Config(**{field: value}), NSGA2_TRAJECTORY_FIELDS
-                )
-            )
-            assert changed != base, field
-
-
 class TestSettingsTrajectoryFingerprint:
+    def test_default_digest_is_stable(self):
+        # the manifest key must not move when its implementation does
+        from repro.experiments.common import ExperimentSettings
+
+        assert (
+            ExperimentSettings().trajectory_fingerprint()
+            == "9fe3e617e7d5a715dc4200fbd3510890"
+        )
+
     def test_execution_policy_never_perturbs(self):
         from repro.experiments.common import ExperimentSettings
 

@@ -110,6 +110,23 @@ class TestCliExecution:
         assert "Approximate-multiplier library" in out
         assert "exact" in out
 
+    def test_library_cache_dir_rerun_identical(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A rerun over --cache-dir (the crash-recovery path) prints the
+        same library as the cold run that wrote the cache."""
+        from repro.approx import library as library_module
+
+        outputs = []
+        for _ in range(2):
+            # empty the in-process memo, so each run builds the library
+            monkeypatch.setattr(library_module, "_LIBRARY_CACHE", {})
+            code = main(["library", "--fast", "--cache-dir", str(tmp_path)])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+            assert list(tmp_path.glob("fitness-*.pkl"))
+        assert outputs[0] == outputs[1]
+
     def test_design_fast_with_json(self, tmp_path, capsys):
         out_path = tmp_path / "design.json"
         code = main([

@@ -309,7 +309,8 @@ class TestDiskCache:
         tmp_path.mkdir(exist_ok=True)
         with open(cache.path, "wb") as handle:
             handle.write(b"not a pickle")
-        assert cache.get((1,)) is None
+        with pytest.warns(RuntimeWarning, match="corrupt"):
+            assert cache.get((1,)) is None
 
     def test_warm_start_skips_evaluation(self, library, space, tmp_path):
         rng = np.random.default_rng(2)
